@@ -58,16 +58,14 @@
 // results are bit-identical to uncached runs, several times faster on
 // multi-cell sweeps. -cache-dir additionally persists the traces on disk
 // in the integrity-checked binary format (and implies -contact-cache),
-// laid out as a 2-level sharded directory fronted by an index file;
-// legacy flat-dir and text traces are migrated transparently (or all at
-// once via -migrate-cache). -cache-mmap replays persisted traces through
-// read-only memory-mapped views — concurrent processes share one
-// page-cached copy of each trace, and cells replay with no per-cell
-// trace allocation. -cache-max-mb bounds the store, evicting
-// least-recently-used traces. -prewarm records the traces of every
-// selected experiment in parallel before the first sweep starts, instead
-// of on first touch inside it. A failing cell exits non-zero naming its
-// (series, x, seed) coordinates.
+// laid out as a 2-level sharded directory fronted by an index file.
+// -cache-mmap replays persisted traces through read-only memory-mapped
+// views — concurrent processes share one page-cached copy of each trace,
+// and cells replay with no per-cell trace allocation. -cache-max-mb
+// bounds the store, evicting least-recently-used traces. -prewarm records
+// the traces of every selected experiment in parallel before the first
+// sweep starts, instead of on first touch inside it. A failing cell exits
+// non-zero naming its (series, x, seed) coordinates.
 package main
 
 import (
@@ -128,7 +126,6 @@ func run() int {
 		lazy     = flag.Bool("lazy-record", false, "record contact traces on first touch inside the sweep instead of the parallel pre-recording pass")
 		ccMmap   = flag.Bool("cache-mmap", false, "replay persisted traces through zero-copy memory-mapped views instead of decoding them (implies -contact-cache; needs -cache-dir)")
 		ccMax    = flag.Float64("cache-max-mb", 0, "bound the persisted cache directory to this many MB, evicting least-recently-used traces (0 = unbounded)")
-		ccMig    = flag.Bool("migrate-cache", false, "upgrade a legacy flat cache directory to the sharded layout up front (per-trace migration otherwise happens lazily on first touch)")
 		resume   = flag.Bool("resume", false, "resume interrupted sweeps from their -out-jsonl streams: completed cells are kept, only missing ones run, and the finished file is byte-identical to an uninterrupted run's")
 	)
 	flag.Var(&specs, "spec", "load a sweep spec file (repeatable); with -figure all, only the loaded specs run")
@@ -236,13 +233,9 @@ func run() int {
 		Seeds: seedList, Scale: *scale, Workers: *work, LazyRecord: *lazy,
 		ScanWorkers: *scanWork, TotalParallelism: *totalPar,
 	}
-	if *useCC || *ccDir != "" || *warm || *ccMmap || *ccMig {
+	if *useCC || *ccDir != "" || *warm || *ccMmap {
 		if *ccMmap && *ccDir == "" {
 			fmt.Fprintln(os.Stderr, "experiments: -cache-mmap needs -cache-dir (views map persisted traces)")
-			return 2
-		}
-		if *ccMig && *ccDir == "" {
-			fmt.Fprintln(os.Stderr, "experiments: -migrate-cache needs -cache-dir (nothing to migrate without a store)")
 			return 2
 		}
 		// One cache across all experiments: sweeps over the same scenario
@@ -257,14 +250,6 @@ func run() int {
 			Warn:     func(msg string) { fmt.Fprintf(os.Stderr, "experiments: %s\n", msg) },
 		}
 		defer opt.ContactCache.Close()
-	}
-
-	if *ccMig {
-		moved, err := opt.ContactCache.MigrateDir()
-		if err != nil {
-			return fail("cache migration: %v", err)
-		}
-		fmt.Printf("migrated %d legacy traces into the sharded cache layout\n", moved)
 	}
 
 	if *warm {

@@ -22,10 +22,9 @@
 // binary when the path ends in .contactsb (override with
 // -contacts-format). A binary trace damaged anywhere — truncation, bit
 // rot, torn copy — is rejected, never replayed as a shorter run. Text
-// traces are checked via their "end <count>" trailer, which catches
-// mid-line truncation and count mismatches; a file cut exactly at a line
-// boundary is indistinguishable from a pre-v2 legacy trace and loads with
-// a warning, so prefer the binary format when integrity matters.
+// traces are checked via their required "end <count>" trailer, which
+// catches truncation and count mismatches but not bit rot, so prefer the
+// binary format when integrity matters.
 package main
 
 import (
@@ -49,16 +48,13 @@ import (
 )
 
 // readRecordingFile loads a contact trace in either format, sniffing by
-// magic. Legacy text files without the end trailer still load, with a
-// warning that their truncation cannot be detected.
+// magic.
 func readRecordingFile(path string) (*vdtn.ContactRecording, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return wireless.DecodeRecordingLegacy(data, func(msg string) {
-		fmt.Fprintf(os.Stderr, "vdtnsim: %s: %s\n", path, msg)
-	})
+	return wireless.DecodeRecording(data)
 }
 
 // encodeRecording renders rec for path under the -contacts-format policy:

@@ -61,15 +61,11 @@ type CacheEvent struct {
 // the same key block behind a single recording pass; requests for distinct
 // keys record in parallel (Prewarm exploits this to front-load all of a
 // sweep's recording passes). With Dir set, recordings are additionally
-// persisted on disk in a sharded layout (see traceStore: 2-level fan-out
-// directories fronted by an index file, with transparent migration of
-// legacy flat-dir and text traces) and reloaded on later runs. A damaged
-// binary file (truncation at any byte, bit rot, torn copy) is detected,
-// reported through Warn, and re-recorded — never silently replayed.
-// Legacy text files carry a weaker guarantee: their "end" trailer catches
-// mid-line cuts and count mismatches, but a file cut exactly at a line
-// boundary is indistinguishable from a pre-v2 trace and loads with a
-// warning, which is why the cache writes binary.
+// persisted on disk in the binary codec in a sharded layout (see
+// traceStore: 2-level fan-out directories fronted by an index file) and
+// reloaded on later runs. A damaged file (truncation at any byte, bit
+// rot, torn copy) is detected, reported through Warn, and re-recorded —
+// never silently replayed.
 //
 // With Mmap also set, Source serves persisted traces as read-only
 // memory-mapped wireless.RecordingView values instead of decoding them:
@@ -93,10 +89,9 @@ type ContactCache struct {
 	MaxBytes int64
 
 	// Warn, when non-nil, receives one message per non-fatal cache anomaly:
-	// an unreadable, corrupt, or scenario-mismatched persisted trace, or a
-	// legacy text file whose truncation cannot be detected. Each distinct
-	// (cause, fingerprint) pair is reported once per cache instance — the
-	// same trace probed at several candidate paths (sharded, legacy flat)
+	// an unreadable, corrupt, or scenario-mismatched persisted trace. Each
+	// distinct (cause, fingerprint) pair is reported once per cache
+	// instance — the same trace probed by both the view and the slurp path
 	// warns once, but distinct damaged traces each get their own report.
 	// Nil discards them.
 	Warn func(msg string)
@@ -277,7 +272,7 @@ func (cc *ContactCache) sourceWith(ctx context.Context, cfg sim.Config, note fun
 // mmap for the life of the sweep.
 func (cc *ContactCache) openView(key string, cfg sim.Config) *wireless.RecordingView {
 	st := cc.store()
-	path := st.locate(key)
+	path := st.shardPath(key)
 	v, err := wireless.OpenRecordingView(path)
 	if err != nil {
 		if !os.IsNotExist(err) {
@@ -424,40 +419,11 @@ func (cc *ContactCache) load(ctx context.Context, key string, cfg sim.Config, no
 	return rec, nil
 }
 
-// fromDisk tries the persisted copies of key: the sharded (or
-// still-flat) binary file first, then the legacy flat text file — which
-// is upgraded into the shard on success and then retired. nil means a
-// miss — absent, unreadable, damaged, or recorded for a different
-// scenario — and every cause except plain absence is surfaced via Warn.
-// The binary file is decoded strictly (the cache only ever writes binary
-// there, so anything else in it is damage); the trailer-less legacy
-// tolerance applies to .contacts text files alone.
+// fromDisk loads key's persisted trace from its shard. nil means a miss
+// — absent, unreadable, damaged, or recorded for a different scenario —
+// and every cause except plain absence is surfaced via Warn.
 func (cc *ContactCache) fromDisk(key string, cfg sim.Config, st *traceStore) *wireless.Recording {
-	binPath := st.locate(key)
-	if rec := cc.readTrace(key, cfg, binPath, false); rec != nil {
-		fi, err := os.Stat(binPath)
-		if err == nil {
-			st.touch(key, fi.Size())
-		}
-		// If the index had lost this trace (crash between shard rename and
-		// index flush), this serve is the repair — count it through Warn.
-		st.noteServed(key)
-		return rec
-	}
-	rec := cc.readTrace(key, cfg, st.flatTextPath(key), true)
-	if rec != nil {
-		// Upgrade write-through: later runs take the fast binary path, and
-		// the flat text file is retired into the shard.
-		st.put(key, wireless.EncodeBinary(rec))
-	}
-	return rec
-}
-
-// readTrace loads and verifies one persisted trace file, sniffing the
-// format by magic. nil means unusable; only os.IsNotExist stays silent.
-// Warnings dedupe per (cause, fingerprint), not per path, so probing the
-// same damaged trace at several candidate locations reports once.
-func (cc *ContactCache) readTrace(key string, cfg sim.Config, path string, legacyOK bool) *wireless.Recording {
+	path := st.shardPath(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if !os.IsNotExist(err) {
@@ -465,14 +431,7 @@ func (cc *ContactCache) readTrace(key string, cfg sim.Config, path string, legac
 		}
 		return nil
 	}
-	var rec *wireless.Recording
-	if legacyOK {
-		rec, err = wireless.DecodeRecordingLegacy(data, func(msg string) {
-			cc.warnf("legacy:"+key, "contact cache: %s: %s", path, msg)
-		})
-	} else {
-		rec, err = wireless.DecodeRecording(data)
-	}
+	rec, err := wireless.DecodeRecording(data)
 	if err != nil {
 		cc.warnf("corrupt:"+key, "contact cache: rejecting %s: %v; re-recording", path, err)
 		return nil
@@ -481,6 +440,10 @@ func (cc *ContactCache) readTrace(key string, cfg sim.Config, path string, legac
 		cc.warnf("mismatch:"+key, "contact cache: %s does not match the scenario: %v; re-recording", path, err)
 		return nil
 	}
+	st.touch(key, int64(len(data)))
+	// If the index had lost this trace (crash between shard rename and
+	// index flush), this serve is the repair — count it through Warn.
+	st.noteServed(key)
 	return rec
 }
 
@@ -529,19 +492,6 @@ func (cc *ContactCache) GC() (removed int, freed int64, err error) {
 	return st.gc(cc.MaxBytes, keep)
 }
 
-// MigrateDir upgrades a whole legacy cache directory into the sharded
-// layout at once (the per-key migration in Recording/Source handles the
-// same upgrade lazily): flat .contactsb files move into their shards,
-// legacy .contacts text traces are re-encoded binary and retired. It
-// returns how many traces were migrated.
-func (cc *ContactCache) MigrateDir() (moved int, err error) {
-	st := cc.store()
-	if st == nil {
-		return 0, nil
-	}
-	return st.migrate(func(msg string) { cc.warnf("migrate:"+msg, "%s", msg) })
-}
-
 // Close releases every mmap-backed view the cache opened and flushes the
 // store index. The cache must not serve replays after Close (live cursors
 // would read unmapped pages).
@@ -583,8 +533,7 @@ func (cc *ContactCache) Recorded() uint64 {
 }
 
 // ShardPath returns where key's trace is (or would be) persisted in the
-// sharded layout — exported for the CLIs' diagnostics and the migration
-// gate in CI.
+// sharded layout — exported for diagnostics and tests.
 func (cc *ContactCache) ShardPath(key string) string {
 	st := cc.store()
 	if st == nil {

@@ -229,10 +229,10 @@ func TestCachePersistErrorsAreBestEffort(t *testing.T) {
 	}
 }
 
-// TestCacheCrossFormatHit: a legacy text-era trace file is served to the
-// binary-era cache without re-recording, upgraded to a binary copy on the
-// way, and a trailer-less pre-v2 file is called out through the warning
-// hook.
+// TestCacheCrossFormatHit: the disk loader sniffs the format, so a
+// complete text trace at the shard path serves the cache without
+// re-recording, while a trailer-less one — which cannot prove it is
+// complete — is rejected through Warn and re-recorded.
 func TestCacheCrossFormatHit(t *testing.T) {
 	dir := t.TempDir()
 	cfg := cacheConfig()
@@ -242,11 +242,11 @@ func TestCacheCrossFormatHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A v2 text file (with trailer) on disk at its legacy flat location,
-	// no binary sibling; the upgrade must land in the sharded layout.
-	textPath := filepath.Join(dir, key+".contacts")
-	binPath := filepath.Join(dir, key[:2], key+".contactsb")
-	if err := os.WriteFile(textPath, []byte(rec.Format()), 0o644); err != nil {
+	shard := (&ContactCache{Dir: dir}).ShardPath(key)
+	if err := os.MkdirAll(filepath.Dir(shard), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(shard, []byte(rec.Format()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -257,34 +257,22 @@ func TestCacheCrossFormatHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cache.Recorded() != 0 {
-		t.Fatal("text-era trace did not serve a binary-era cache")
+		t.Fatal("text trace at the shard path did not serve the cache")
 	}
 	if !reflect.DeepEqual(rec, loaded) {
 		t.Fatal("text trace loaded differently from the recorded one")
 	}
-	if len(warnings) != 0 {
-		t.Fatalf("trailer-bearing text file warned: %v", warnings)
-	}
-	// The hit must have upgraded the entry to the binary format.
-	data, err := os.ReadFile(binPath)
-	if err != nil {
-		t.Fatalf("no binary upgrade written: %v", err)
-	}
-	upgraded, err := wireless.DecodeBinary(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rec, upgraded) {
-		t.Fatal("binary upgrade changed the recording")
+	// The one expected warning is the index adopting the file written
+	// behind the cache's back.
+	for _, w := range warnings {
+		if !strings.Contains(w, "index.json") {
+			t.Fatalf("trailer-bearing text file warned: %v", warnings)
+		}
 	}
 
-	// A pre-v2 legacy file (no end trailer) still loads, but warns that
-	// truncation cannot be detected.
-	legacy := strings.Replace(rec.Format(), fmt.Sprintf("end %d\n", len(rec.Transitions)), "", 1)
-	if err := os.WriteFile(textPath, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(binPath); err != nil {
+	warnings = nil
+	noTrailer := strings.Replace(rec.Format(), fmt.Sprintf("end %d\n", len(rec.Transitions)), "", 1)
+	if err := os.WriteFile(shard, []byte(noTrailer), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cache = &ContactCache{Dir: dir, Warn: func(msg string) { warnings = append(warnings, msg) }}
@@ -292,17 +280,17 @@ func TestCacheCrossFormatHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Recorded() != 0 || !reflect.DeepEqual(rec, loaded) {
-		t.Fatal("legacy trailer-less trace not served from disk")
+	if cache.Recorded() != 1 || !reflect.DeepEqual(rec, loaded) {
+		t.Fatal("trailer-less text trace was not re-recorded")
 	}
 	if len(warnings) != 1 || !strings.Contains(warnings[0], "end trailer") {
-		t.Fatalf("legacy file warnings = %v, want one about the missing end trailer", warnings)
+		t.Fatalf("warnings = %v, want one rejecting the missing end trailer", warnings)
 	}
 }
 
-// TestCacheRejectsTruncatedFiles: a persisted trace cut short — the torn
-// write PR 1's text format could not detect — is rejected and re-recorded
-// in both formats, never replayed as a shorter trace.
+// TestCacheRejectsTruncatedFiles: a persisted trace cut short is
+// rejected and re-recorded in both formats, never replayed as a shorter
+// trace.
 func TestCacheRejectsTruncatedFiles(t *testing.T) {
 	dir := t.TempDir()
 	cfg := cacheConfig()
@@ -320,15 +308,7 @@ func TestCacheRejectsTruncatedFiles(t *testing.T) {
 		"text":   []byte(rec.Format()),
 	} {
 		t.Run(name, func(t *testing.T) {
-			// Cut mid-line: a text trace cut exactly on a line boundary is
-			// indistinguishable from a legacy trailer-less file, which the
-			// disk loader tolerates by design (with a warning) — the reason
-			// the persisted format is binary, where every cut is detected.
-			cut := len(data) / 2
-			for cut > 1 && data[cut-1] == '\n' {
-				cut--
-			}
-			if err := os.WriteFile(binPath, data[:cut], 0o644); err != nil {
+			if err := os.WriteFile(binPath, data[:len(data)/2], 0o644); err != nil {
 				t.Fatal(err)
 			}
 			var warnings []string

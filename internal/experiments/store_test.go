@@ -14,142 +14,6 @@ import (
 	"vdtn/internal/wireless"
 )
 
-// seedTrace records the canonical trace for cfg's contact process without
-// going through a cache, for building disk fixtures.
-func seedTrace(t *testing.T, cfg sim.Config) (key string, rec *wireless.Recording) {
-	t.Helper()
-	key = scenario.ContactFingerprint(cfg)
-	rec, err := sim.RecordContacts(contactCanonical(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return key, rec
-}
-
-// TestCacheMigratesLegacyFlatDir is the flat-dir → sharded migration gate:
-// a cache directory laid out the way PRs 1-2 wrote it — flat .contactsb
-// binaries and legacy .contacts text files — must serve a sweep without a
-// single re-recording pass, and come out the other side in the sharded
-// layout with the flat files retired.
-func TestCacheMigratesLegacyFlatDir(t *testing.T) {
-	dir := t.TempDir()
-	exp := cacheExperiment()
-	opt := Options{Seeds: []uint64{1, 2}, BaseConfig: cacheConfig}
-
-	// Build the legacy flat directory: seed 1 as flat binary, seed 2 as
-	// legacy text.
-	for seed, asText := range map[uint64]bool{1: false, 2: true} {
-		cfg := cacheConfig()
-		cfg.Seed = seed
-		key, rec := seedTrace(t, cfg)
-		if asText {
-			if err := os.WriteFile(filepath.Join(dir, key+".contacts"), []byte(rec.Format()), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			if err := os.WriteFile(filepath.Join(dir, key+".contactsb"), wireless.EncodeBinary(rec), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	plain := mustRun(t, exp, opt)
-
-	cache := &ContactCache{Dir: dir}
-	opt.ContactCache = cache
-	migrated, err := RunE(exp, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.Series, migrated.DefaultTable().Series) {
-		t.Fatal("sweep over the migrated legacy cache diverged from the uncached table")
-	}
-	if cache.Recorded() != 0 {
-		t.Fatalf("legacy flat-dir traces did not serve the sweep: %d re-recordings", cache.Recorded())
-	}
-
-	// The directory must now be sharded, with no flat trace files left.
-	sharded, err := filepath.Glob(filepath.Join(dir, "??", "*.contactsb"))
-	if err != nil || len(sharded) != 2 {
-		t.Fatalf("sharded traces = %v (err %v), want 2", sharded, err)
-	}
-	for _, pattern := range []string{"*.contactsb", "*.contacts"} {
-		if flat, _ := filepath.Glob(filepath.Join(dir, pattern)); len(flat) != 0 {
-			t.Fatalf("flat files survived migration: %v", flat)
-		}
-	}
-
-	// And a third cache over the migrated directory serves purely from the
-	// shards.
-	after := &ContactCache{Dir: dir}
-	for _, seed := range []uint64{1, 2} {
-		cfg := cacheConfig()
-		cfg.Seed = seed
-		if _, err := after.Recording(cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if after.Recorded() != 0 {
-		t.Fatalf("migrated shards did not serve a later cache: %d re-recordings", after.Recorded())
-	}
-}
-
-// TestCacheMigrateDirSweep: the one-shot MigrateDir upgrade moves every
-// legacy file at once, without waiting for per-key first touches.
-func TestCacheMigrateDirSweep(t *testing.T) {
-	dir := t.TempDir()
-	var keys []string
-	for seed := uint64(1); seed <= 3; seed++ {
-		cfg := cacheConfig()
-		cfg.Seed = seed
-		key, rec := seedTrace(t, cfg)
-		keys = append(keys, key)
-		name := key + ".contactsb"
-		data := wireless.EncodeBinary(rec)
-		if seed == 3 {
-			name = key + ".contacts"
-			data = []byte(rec.Format())
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	cache := &ContactCache{Dir: dir}
-	moved, err := cache.MigrateDir()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != 3 {
-		t.Fatalf("MigrateDir moved %d traces, want 3", moved)
-	}
-	for _, key := range keys {
-		if _, err := os.Stat(cache.ShardPath(key)); err != nil {
-			t.Fatalf("trace %s not in its shard after MigrateDir: %v", key, err)
-		}
-	}
-	if flat, _ := filepath.Glob(filepath.Join(dir, "*.contacts*")); len(flat) != 0 {
-		t.Fatalf("flat files survived MigrateDir: %v", flat)
-	}
-
-	// A stale flat duplicate of an already-sharded trace is removed, not
-	// re-counted as a migration.
-	stale := filepath.Join(dir, keys[0]+".contactsb")
-	if err := os.WriteFile(stale, []byte("stale duplicate"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	moved, err = cache.MigrateDir()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != 0 {
-		t.Fatalf("re-running MigrateDir over a stale duplicate reported %d moves", moved)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatalf("stale flat duplicate survived MigrateDir (err %v)", err)
-	}
-}
-
 // TestCacheGCEvictsLRU: the size-bounded GC removes least-recently-used
 // traces first (index order, falling back to file mtime) and stops as soon
 // as the store fits the budget.

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"vdtn/internal/atomicfile"
 )
 
 // Store is the daemon's durable job store: one directory per job under
@@ -17,8 +19,8 @@ import (
 //	meta.json     the job's Meta snapshot
 //	results.jsonl the sweep's streaming JSONL artifact
 //
-// spec.json and meta.json are written atomically (temp file + rename,
-// the traceStore idiom), so a kill -9 can never leave a torn snapshot —
+// spec.json and meta.json are written atomically (atomicfile: temp file
+// + rename), so a kill -9 can never leave a torn snapshot —
 // at worst an orphaned temp file. results.jsonl is an append stream by
 // design: its crash contract is ReadJSONLPrefix's (a torn tail is cut on
 // resume), not atomicity. The raw spec bytes are what resumption
@@ -89,7 +91,7 @@ func (s *Store) Create(meta Meta, spec []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("service: creating job %s: %w", meta.ID, err)
 	}
-	if err := writeAtomic(dir, filepath.Join(dir, "spec.json"), spec); err != nil {
+	if err := atomicfile.Write(filepath.Join(dir, "spec.json"), spec); err != nil {
 		return err
 	}
 	return s.WriteMeta(meta)
@@ -102,7 +104,7 @@ func (s *Store) WriteMeta(meta Meta) error {
 		return fmt.Errorf("service: encoding meta for %s: %w", meta.ID, err)
 	}
 	dir := s.jobDir(meta.ID)
-	return writeAtomic(dir, filepath.Join(dir, "meta.json"), append(data, '\n'))
+	return atomicfile.Write(filepath.Join(dir, "meta.json"), append(data, '\n'))
 }
 
 // ReadMeta loads the job's meta snapshot; ErrNoJob for an unknown ID.
@@ -154,28 +156,4 @@ func (s *Store) List() ([]Meta, error) {
 		metas = append(metas, m)
 	}
 	return metas, nil
-}
-
-// writeAtomic writes data to path via a temp file in dir plus rename, so
-// concurrent readers and a mid-write crash only ever observe the old or
-// the new complete snapshot.
-func writeAtomic(dir, path string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, ".job-*")
-	if err != nil {
-		return fmt.Errorf("service: writing %s: %w", path, err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: writing %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: writing %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: writing %s: %w", path, err)
-	}
-	return nil
 }

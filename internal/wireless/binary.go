@@ -3,7 +3,9 @@
 // persists one trace per (scenario, seed) fingerprint; on large fleets the
 // text format's float formatting and parsing dominate cache-dir load time,
 // so the persisted form is binary and the text form is kept for
-// inspection and back-compat.
+// inspection. This file holds the encoder and the container check; the
+// transition stream is decoded by the one decode core in stream.go,
+// which DecodeBinary and RecordingView share.
 //
 // Layout (all fixed-width integers little-endian):
 //
@@ -25,7 +27,9 @@
 // decoded stream), and any bit flip fails the CRC. The varint time deltas
 // are lossless — bit patterns, not values, are delta-coded — so for any
 // recording that passes Validate, DecodeBinary(EncodeBinary(r)) reproduces
-// r exactly, including times that have no short decimal form.
+// r exactly, including times that have no short decimal form. Varints
+// must be minimal, so the encoding is canonical: an accepted file
+// re-encodes to the same bytes.
 package wireless
 
 import (
@@ -84,9 +88,8 @@ func EncodeBinary(r *Recording) []byte {
 
 // binEnvelope is a binary trace whose container has been verified: magic,
 // version, CRC32 and the count sanity bound all checked. The transition
-// stream itself is still raw bytes — decode it with a binCursor (see
-// stream.go), which every consumer (DecodeBinary, RecordingReader,
-// RecordingView) shares so their acceptance behaviour cannot drift apart.
+// stream itself is still raw bytes, decoded by decodeBinary (see
+// stream.go).
 type binEnvelope struct {
 	scanInterval float64
 	duration     float64
@@ -134,57 +137,22 @@ func parseBinaryEnvelope(data []byte) (binEnvelope, error) {
 // DecodeBinary reads the binary codec back into a validated Recording.
 // Integrity is checked before the stream is trusted: a short read, torn
 // write or bit flip fails the CRC or the transition count and is reported
-// as an error — never decoded as a plausible shorter trace. To decode
-// incrementally without materializing the transition slice, use
-// RecordingReader; for shared zero-copy replay, OpenRecordingView.
+// as an error — never decoded as a plausible shorter trace. For shared
+// zero-copy replay without the transition slice, use OpenRecordingView.
 func DecodeBinary(data []byte) (*Recording, error) {
-	env, err := parseBinaryEnvelope(data)
+	env, trs, _, err := decodeBinary(data, true)
 	if err != nil {
 		return nil, err
 	}
-	rec := &Recording{ScanInterval: env.scanInterval, Duration: env.duration}
-	if env.count > 0 { // keep Transitions nil for empty traces (round-trip exactness)
-		rec.Transitions = make([]Transition, 0, env.count)
-	}
-	cur := binCursor{p: env.stream}
-	for {
-		tr, ok, err := cur.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		rec.Transitions = append(rec.Transitions, tr)
-	}
-	if uint64(len(rec.Transitions)) != env.count {
-		return nil, fmt.Errorf("wireless: binary recording truncated: footer declares %d transitions, stream held %d",
-			env.count, len(rec.Transitions))
-	}
-	if err := rec.Validate(); err != nil {
-		return nil, fmt.Errorf("wireless: binary recording invalid: %w", err)
-	}
-	return rec, nil
+	return &Recording{ScanInterval: env.scanInterval, Duration: env.duration, Transitions: trs}, nil
 }
 
 // DecodeRecording decodes a persisted contact trace in either format,
-// sniffing by magic: the binary codec when present, otherwise the strict
-// text form (end trailer required; see DecodeRecordingLegacy for
-// pre-trailer files).
+// sniffing by magic: the binary codec when present, otherwise the text
+// form (end trailer required).
 func DecodeRecording(data []byte) (*Recording, error) {
 	if IsBinaryRecording(data) {
 		return DecodeBinary(data)
 	}
 	return ParseRecording(string(data))
-}
-
-// DecodeRecordingLegacy decodes like DecodeRecording but tolerates text
-// traces without the end trailer (pre-v2 files), reporting the lost
-// truncation detection through warn — the one policy shared by every
-// disk-loading consumer (the contact cache, the CLIs).
-func DecodeRecordingLegacy(data []byte, warn func(msg string)) (*Recording, error) {
-	if IsBinaryRecording(data) {
-		return DecodeBinary(data)
-	}
-	return ParseRecordingLegacy(string(data), warn)
 }

@@ -182,32 +182,16 @@ func TestDecodeRecordingSniffs(t *testing.T) {
 	}
 }
 
-// TestParseRecordingTrailer pins the text trailer contract: required by
-// the strict parser, tolerated-with-warning by the legacy parser, and a
-// lying trailer is an error for both.
+// TestParseRecordingTrailer pins the text trailer contract: the parser
+// requires it, and a missing or lying trailer is an error.
 func TestParseRecordingTrailer(t *testing.T) {
 	withTrailer := "scan 1\nduration 10\n1 0 1 up\nend 1\n"
 	if _, err := ParseRecording(withTrailer); err != nil {
 		t.Fatal(err)
 	}
 
-	noTrailer := "scan 1\nduration 10\n1 0 1 up\n"
-	if _, err := ParseRecording(noTrailer); err == nil {
-		t.Fatal("strict parser accepted a trailer-less trace")
-	}
-	var warned []string
-	rec, err := ParseRecordingLegacy(noTrailer, func(msg string) { warned = append(warned, msg) })
-	if err != nil {
-		t.Fatalf("legacy parser rejected a trailer-less trace: %v", err)
-	}
-	if len(rec.Transitions) != 1 {
-		t.Fatalf("legacy parse read %d transitions, want 1", len(rec.Transitions))
-	}
-	if len(warned) != 1 || !strings.Contains(warned[0], "end trailer") {
-		t.Fatalf("legacy warnings = %v, want one about the missing trailer", warned)
-	}
-
 	for name, text := range map[string]string{
+		"no trailer":    "scan 1\nduration 10\n1 0 1 up\n",
 		"undercount":    "scan 1\nduration 10\n1 0 1 up\nend 0\n",
 		"overcount":     "scan 1\nduration 10\n1 0 1 up\nend 2\n",
 		"bad count":     "scan 1\nduration 10\nend x\n",
@@ -215,9 +199,6 @@ func TestParseRecordingTrailer(t *testing.T) {
 	} {
 		if _, err := ParseRecording(text); err == nil {
 			t.Errorf("%s accepted: %q", name, text)
-		}
-		if _, err := ParseRecordingLegacy(text, nil); err == nil {
-			t.Errorf("%s accepted by the legacy parser: %q", name, text)
 		}
 	}
 }

@@ -47,55 +47,21 @@ func (r *Recording) MaxNode() int {
 	return max
 }
 
-// Validate reports the first structural defect: non-positive scan interval
-// or duration, unordered or negative pairs, timestamps outside [0, Duration]
-// or decreasing, or a transition repeating the pair's current state (two
-// ups or two downs in a row).
+// Validate reports the first structural defect: non-finite or
+// non-positive scan interval or duration, unordered or negative pairs,
+// non-finite timestamps or ones outside [0, Duration] or decreasing, or a
+// transition repeating the pair's current state (two ups or two downs in
+// a row). It runs the decoders' streamValidator, its bitmap sized to
+// MaxNode so the pass allocates once.
 func (r *Recording) Validate() error {
-	if r.ScanInterval <= 0 {
-		return fmt.Errorf("wireless: recording has non-positive scan interval %v", r.ScanInterval)
+	v, err := newStreamValidator(r.ScanInterval, r.Duration, r.MaxNode()+1)
+	if err != nil {
+		return err
 	}
-	if r.Duration <= 0 {
-		return fmt.Errorf("wireless: recording has non-positive duration %v", r.Duration)
-	}
-	// Pair-state tracking: fleet-scale traces validate on every cache-dir
-	// load, so the common small-id case uses a dense bitmap instead of a
-	// map (several times faster); huge or sparse id spaces — including
-	// absurd ids from corrupt input, where stride*stride would overflow —
-	// fall back to the map.
-	var dense []bool
-	var sparse map[pairKey]bool
-	stride := r.MaxNode() + 1
-	if stride > 0 && stride <= 1<<11 {
-		dense = make([]bool, stride*stride)
-	} else {
-		sparse = make(map[pairKey]bool)
-	}
-	last := 0.0
-	for i, tr := range r.Transitions {
-		switch {
-		case tr.A < 0 || tr.B <= tr.A:
-			return fmt.Errorf("wireless: recording transition %d has bad pair (%d, %d)", i, tr.A, tr.B)
-		case tr.Time < last:
-			return fmt.Errorf("wireless: recording transition %d at %v before predecessor at %v", i, tr.Time, last)
-		case tr.Time > r.Duration:
-			return fmt.Errorf("wireless: recording transition %d at %v beyond duration %v", i, tr.Time, r.Duration)
+	for _, tr := range r.Transitions {
+		if err := v.check(tr); err != nil {
+			return err
 		}
-		var up bool
-		if dense != nil {
-			up = dense[tr.A*stride+tr.B]
-		} else {
-			up = sparse[pairKey{tr.A, tr.B}]
-		}
-		if up == tr.Up {
-			return fmt.Errorf("wireless: recording transition %d repeats state up=%v of pair (%d, %d)", i, tr.Up, tr.A, tr.B)
-		}
-		if dense != nil {
-			dense[tr.A*stride+tr.B] = tr.Up
-		} else {
-			sparse[pairKey{tr.A, tr.B}] = tr.Up
-		}
-		last = tr.Time
 	}
 	return nil
 }
@@ -162,22 +128,8 @@ func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) 
 // ParseRecording reads the Format text form back into a validated
 // Recording. The "end <count>" trailer is required: a file cut short —
 // torn rename, partial copy — is reported as an error, never replayed as
-// a shorter trace. For files written before the trailer existed, use
-// ParseRecordingLegacy.
+// a shorter trace.
 func ParseRecording(text string) (*Recording, error) {
-	return parseRecording(text, false, nil)
-}
-
-// ParseRecordingLegacy parses like ParseRecording but tolerates a missing
-// "end <count>" trailer, for traces written before the trailer existed.
-// When the trailer is absent, warn (if non-nil) is told that truncation of
-// this file cannot be detected. A present-but-mismatching trailer is still
-// an error.
-func ParseRecordingLegacy(text string, warn func(msg string)) (*Recording, error) {
-	return parseRecording(text, true, warn)
-}
-
-func parseRecording(text string, legacy bool, warn func(string)) (*Recording, error) {
 	rec := &Recording{}
 	trailer := -1 // transition count the end trailer declares; -1 = not seen
 	for lineNo, raw := range strings.Split(text, "\n") {
@@ -236,15 +188,11 @@ func parseRecording(text string, legacy bool, warn func(string)) (*Recording, er
 		}
 	}
 	switch {
-	case trailer >= 0 && trailer != len(rec.Transitions):
+	case trailer < 0:
+		return nil, fmt.Errorf("wireless: recording has no end trailer: truncated, or not written by Format")
+	case trailer != len(rec.Transitions):
 		return nil, fmt.Errorf("wireless: recording truncated: end trailer declares %d transitions, read %d",
 			trailer, len(rec.Transitions))
-	case trailer < 0 && !legacy:
-		return nil, fmt.Errorf("wireless: recording has no end trailer: truncated, or a pre-v2 file (use ParseRecordingLegacy)")
-	case trailer < 0 && legacy:
-		if warn != nil {
-			warn("recording has no end trailer (pre-v2 file): truncation cannot be detected")
-		}
 	}
 	if err := rec.Validate(); err != nil {
 		return nil, err

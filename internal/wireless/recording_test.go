@@ -203,6 +203,53 @@ func TestParseRecordingRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodersRejectNonFinite: NaN or infinite header fields and
+// transition times are rejected by Validate and by every decoder — text,
+// binary and view. A NaN time is the sharp case: it compares false
+// against everything, so an ordering check that lets it through also
+// waves every later out-of-order transition past.
+func TestDecodersRejectNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	trace := func(scan, duration float64, times ...float64) *Recording {
+		rec := &Recording{ScanInterval: scan, Duration: duration}
+		for i, tm := range times {
+			rec.Transitions = append(rec.Transitions, Transition{Time: tm, A: 0, B: i + 1, Up: true})
+		}
+		return rec
+	}
+	cases := map[string]*Recording{
+		"NaN time mid-trace": {ScanInterval: 1, Duration: 10, Transitions: []Transition{
+			{Time: 5, A: 0, B: 1, Up: true},
+			{Time: nan, A: 0, B: 2, Up: true},
+			{Time: 1, A: 0, B: 1, Up: false}, // out of order behind the NaN
+		}},
+		"NaN first time":            trace(1, 10, nan),
+		"+Inf time":                 trace(1, 10, 1, inf),
+		"-Inf time":                 trace(1, 10, -inf),
+		"NaN duration":              trace(1, nan, 1),
+		"+Inf duration":             trace(1, inf, 1),
+		"NaN scan":                  trace(nan, 10, 1),
+		"+Inf scan":                 trace(inf, 10, 1),
+		"-Inf scan":                 trace(-inf, 10),
+		"NaN duration, empty trace": trace(1, nan),
+	}
+	for name, rec := range cases {
+		if err := rec.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", name)
+		}
+		if _, err := ParseRecording(rec.Format()); err == nil {
+			t.Errorf("%s: ParseRecording accepted it", name)
+		}
+		enc := EncodeBinary(rec)
+		if _, err := DecodeBinary(enc); err == nil {
+			t.Errorf("%s: DecodeBinary accepted it", name)
+		}
+		if _, err := NewRecordingView(enc); err == nil {
+			t.Errorf("%s: NewRecordingView accepted it", name)
+		}
+	}
+}
+
 // TestValidateHugeNodeIDs: absurd node ids from corrupt text input must
 // not panic the dense pair-state bitmap (stride*stride overflows for ids
 // near 2^32 and 3037000500); Validate falls back to the map and treats

@@ -1,10 +1,8 @@
 package wireless
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -182,29 +180,10 @@ func BenchmarkReplay(b *testing.B) {
 	}
 }
 
-// preRefactorBaseline holds the scan-path numbers measured immediately
-// before this refactor (commit 2b929e1, Intel Xeon @ 2.10GHz, go1.24):
-// the old Medium.scan / PeersOf driven by the same benchMedium fleets.
-// They are recorded in the artifact as the historical before column; the
-// machine-independent comparison the artifact asserts on is the in-tree
-// scanReference path measured side by side with the new scan.
-var preRefactorBaseline = map[string]float64{
-	"scan_ns_per_tick_1k":       1285679,
-	"scan_ns_per_tick_10k":      20904437,
-	"scan_ns_per_tick_100k":     532172162,
-	"scan_allocs_per_tick_1k":   957,
-	"scan_allocs_per_tick_10k":  9353,
-	"scan_allocs_per_tick_100k": 92324,
-	"peersof_ns_per_call_1k":    27157,
-	"peersof_ns_per_call_10k":   448223,
-	"peersof_ns_per_call_100k":  3442994,
-	"peersof_allocs_per_call":   3,
-}
-
 // TestScanSpeedupArtifact measures the incremental scan against the
-// retained full-rescan reference at 1k/10k/100k nodes and writes the
-// comparison to BENCH_scan.json at the repo root, alongside the pinned
-// pre-refactor numbers. It enforces the PR's acceptance criteria:
+// retained full-rescan reference at 1k/10k/100k nodes and logs the
+// comparison (go test -v shows it). It enforces the scan's performance
+// contract:
 //
 //   - the incremental scan beats the full rescan >=5x at 100k nodes;
 //   - PeersOf performs zero allocations per call (it no longer walks the
@@ -218,14 +197,6 @@ func TestScanSpeedupArtifact(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing measurement meaningless under the race detector")
 	}
-	art := map[string]any{
-		"benchmark":  "live-scan hot path: incremental adjacency scan vs full rescan",
-		"mover_frac": benchMoverFrac,
-	}
-	for k, v := range preRefactorBaseline {
-		art["before_"+k] = v
-	}
-
 	tickAvg := func(ticks int, f func(now float64)) float64 {
 		start := time.Now()
 		for i := 1; i <= ticks; i++ {
@@ -255,9 +226,8 @@ func TestScanSpeedupArtifact(t *testing.T) {
 		newNs := tickAvg(bench.ticks*4, func(now float64) { m.scan(now) })
 
 		su := refNs / newNs
-		art["reference_ns_per_tick_"+bench.tag] = int64(refNs)
-		art["after_scan_ns_per_tick_"+bench.tag] = int64(newNs)
-		art["speedup_vs_reference_"+bench.tag] = su
+		t.Logf("%s nodes: full rescan %.0f ns/tick, incremental scan %.0f ns/tick (%.2fx)",
+			bench.tag, refNs, newNs, su)
 		if bench.n == 100000 {
 			speedup100k = su
 		}
@@ -269,8 +239,7 @@ func TestScanSpeedupArtifact(t *testing.T) {
 		for i := 0; i < calls; i++ {
 			sum += len(m.PeersOf(i % bench.n))
 		}
-		art["after_peersof_ns_per_call_"+bench.tag] =
-			time.Since(start).Nanoseconds() / int64(calls)
+		t.Logf("%s nodes: PeersOf %d ns/call", bench.tag, time.Since(start).Nanoseconds()/int64(calls))
 		if sum == 0 {
 			t.Fatalf("n=%d: no contacts in benchmark fleet", bench.n)
 		}
@@ -280,7 +249,6 @@ func TestScanSpeedupArtifact(t *testing.T) {
 			t.Fatalf("n=%d: PeersOf allocates %v per call, want 0", bench.n, allocs)
 		}
 	}
-	art["after_peersof_allocs_per_call"] = 0
 
 	// Steady-state scan allocations: a quiet tick must not allocate. The
 	// benchMedium fleets transition every tick (that's the point of the
@@ -315,22 +283,11 @@ func TestScanSpeedupArtifact(t *testing.T) {
 		m.scan(now)
 		now++
 	})
-	art["after_scan_allocs_per_quiet_tick"] = scanAllocs
 	if scanAllocs != 0 {
 		t.Fatalf("steady-state scan allocates %v per tick, want 0", scanAllocs)
 	}
 
 	if speedup100k < 5 {
 		t.Fatalf("scan speedup vs full rescan at 100k nodes = %.2fx, want >=5x", speedup100k)
-	}
-
-	out, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The test runs with the package directory as cwd; the artifact
-	// belongs at the repo root next to BENCH_contactcache.json.
-	if err := os.WriteFile("../../BENCH_scan.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

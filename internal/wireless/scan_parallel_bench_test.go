@@ -1,10 +1,8 @@
 package wireless
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -48,14 +46,13 @@ func BenchmarkScanParallel(b *testing.B) {
 }
 
 // TestScanScalingArtifact measures the parallel scan's worker scaling
-// curve at 10k and 100k nodes and writes it to BENCH_parallel.json at the
-// repo root. The speedup thresholds from the PR's acceptance criteria —
-// >=2x serial with 4 workers, >=3x with 8 — are enforced only when the
-// host has at least that many cores (the CI bench runner does; a laptop
-// or a 1-core container still measures and records the curve, it just
-// cannot honestly fail a parallelism target it physically cannot reach).
-// The core count is recorded in the artifact so any reader can tell which
-// gates were live.
+// curve at 10k and 100k nodes and logs it (go test -v shows it). The
+// speedup thresholds — >=2x serial with 4 workers, >=3x with 8 — are
+// enforced only when the host has at least that many cores (the CI bench
+// runner does; a laptop or a 1-core container still measures and logs
+// the curve, it just cannot honestly fail a parallelism target it
+// physically cannot reach). The core count is logged so any reader can
+// tell which gates were live.
 func TestScanScalingArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing measurement")
@@ -64,12 +61,7 @@ func TestScanScalingArtifact(t *testing.T) {
 		t.Skip("timing measurement meaningless under the race detector")
 	}
 	cores := runtime.NumCPU()
-	art := map[string]any{
-		"benchmark":  "parallel tick pipeline: sharded scan vs serial incremental scan",
-		"mover_frac": benchMoverFrac,
-		"cores":      cores,
-		"gomaxprocs": runtime.GOMAXPROCS(0),
-	}
+	t.Logf("%d cores, GOMAXPROCS %d", cores, runtime.GOMAXPROCS(0))
 
 	tickAvg := func(m *Medium, ticks int) float64 {
 		now := 0.0
@@ -105,8 +97,7 @@ func TestScanScalingArtifact(t *testing.T) {
 			}
 			su := serialNs / ns
 			speedup[bench.n][workers] = su
-			art[fmt.Sprintf("scan_ns_per_tick_%s_workers_%d", bench.tag, workers)] = int64(ns)
-			art[fmt.Sprintf("speedup_vs_serial_%s_workers_%d", bench.tag, workers)] = su
+			t.Logf("%s nodes, %d workers: %.0f ns/tick (%.2fx vs serial)", bench.tag, workers, ns, su)
 		}
 	}
 
@@ -143,7 +134,6 @@ func TestScanScalingArtifact(t *testing.T) {
 		m.scan(now)
 		now++
 	})
-	art["parallel_scan_allocs_per_quiet_tick"] = scanAllocs
 	if scanAllocs != 0 {
 		t.Errorf("steady-state parallel scan allocates %v per tick, want 0", scanAllocs)
 	}
@@ -162,13 +152,5 @@ func TestScanScalingArtifact(t *testing.T) {
 		}
 	} else {
 		t.Logf("8-worker speedup gate skipped: %d cores", cores)
-	}
-
-	out, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_parallel.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,18 +1,18 @@
-// Streaming access to binary contact traces: the incremental decoder
-// (binCursor), the one-transition-at-a-time validator (streamValidator),
-// the RecordingReader built from the two, and the ReplaySource interface
-// that lets replay consume a trace without a materialized []Transition.
+// The single decode core for binary contact traces — the incremental
+// decoder (binCursor), the one structural validator (streamValidator)
+// and the pass that chains them (decodeBinary) — plus the ReplaySource
+// interface that lets replay consume a trace without a materialized
+// []Transition.
 //
-// DecodeBinary, RecordingReader and RecordingView all decode through the
-// same binCursor and apply the same structural rules, so a byte sequence
-// is either accepted by all of them with identical transitions or rejected
-// by all of them — the property the fuzz suite pins.
+// DecodeBinary and RecordingView both run decodeBinary, and
+// Recording.Validate runs the same streamValidator over an in-memory
+// slice, so every reader accepts exactly the same traces and reports
+// defects with the same messages.
 package wireless
 
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"os"
 )
@@ -74,13 +74,20 @@ func (c *sliceCursor) Next() (Transition, bool) {
 
 // binCursor decodes the transition stream of a checked binEnvelope one
 // transition at a time, with no allocation. It performs the per-entry
-// decode checks (flags, varint shape, node-id bounds); structural trace
-// rules (time ordering, state alternation) are streamValidator's job.
+// decode checks (flags, minimal varints, node-id bounds); structural
+// trace rules (time ordering, state alternation) are streamValidator's
+// job.
 type binCursor struct {
 	p    []byte
 	bits uint64
 	n    int
 }
+
+// padded reports whether the n-byte varint at the front of p is longer
+// than its minimal encoding (a minimal multi-byte varint never ends in a
+// zero byte). Padded varints are rejected so that every accepted trace
+// has exactly one encoding: EncodeBinary(DecodeBinary(data)) == data.
+func padded(p []byte, n int) bool { return n > 1 && p[n-1] == 0 }
 
 func (c *binCursor) next() (Transition, bool, error) {
 	if len(c.p) == 0 {
@@ -92,17 +99,17 @@ func (c *binCursor) next() (Transition, bool, error) {
 	}
 	p := c.p[1:]
 	delta, n := binary.Varint(p)
-	if n <= 0 {
+	if n <= 0 || padded(p, n) {
 		return Transition{}, false, fmt.Errorf("wireless: binary recording transition %d has a bad time delta", c.n)
 	}
 	p = p[n:]
 	a, n := binary.Uvarint(p)
-	if n <= 0 || a >= maxBinaryNode {
+	if n <= 0 || padded(p, n) || a >= maxBinaryNode {
 		return Transition{}, false, fmt.Errorf("wireless: binary recording transition %d has a bad node id", c.n)
 	}
 	p = p[n:]
 	gap, n := binary.Uvarint(p)
-	if n <= 0 || gap >= maxBinaryNode {
+	if n <= 0 || padded(p, n) || gap >= maxBinaryNode {
 		return Transition{}, false, fmt.Errorf("wireless: binary recording transition %d has a bad pair gap", c.n)
 	}
 	c.p = p[n:]
@@ -116,67 +123,146 @@ func (c *binCursor) next() (Transition, bool, error) {
 	}, true, nil
 }
 
-// streamValidator applies Recording.Validate's structural rules to a
-// transition stream incrementally, so streaming consumers enforce exactly
-// the invariants the slurping decoder does without holding the trace.
-// Like Validate, pair state lives in a dense bitmap for the common
-// small-id case — grown geometrically as higher ids appear, since a
-// stream's MaxNode is unknown up front — with a map fallback for huge or
-// sparse id spaces. The state structure is the only allocation and is
-// paid once per validation pass (once per view open), never per replay
-// cell.
+// decodeBinary is the one binary decode loop: it verifies the envelope,
+// runs every transition through binCursor and streamValidator, checks the
+// footer count against the stream, and returns the envelope and the
+// trace's MaxNode. With keep set it also collects the transitions (nil
+// for an empty trace, so the round trip stays exact); DecodeBinary keeps
+// them, RecordingView does not.
+func decodeBinary(data []byte, keep bool) (env binEnvelope, trs []Transition, maxNode int, err error) {
+	env, err = parseBinaryEnvelope(data)
+	if err != nil {
+		return env, nil, -1, err
+	}
+	// The stride is a first guess, grown as higher ids appear: unlike
+	// Validate, a stream does not know its MaxNode up front.
+	val, err := newStreamValidator(env.scanInterval, env.duration, 64)
+	if err != nil {
+		return env, nil, -1, fmt.Errorf("wireless: binary recording invalid: %w", err)
+	}
+	if keep && env.count > 0 {
+		trs = make([]Transition, 0, env.count)
+	}
+	maxNode = -1
+	cur := binCursor{p: env.stream}
+	for {
+		tr, ok, err := cur.next()
+		if err != nil {
+			return env, nil, -1, err
+		}
+		if !ok {
+			break
+		}
+		if err := val.check(tr); err != nil {
+			return env, nil, -1, fmt.Errorf("wireless: binary recording invalid: %w", err)
+		}
+		maxNode = max(maxNode, tr.B)
+		if keep {
+			trs = append(trs, tr)
+		}
+	}
+	if uint64(cur.n) != env.count {
+		return env, nil, -1, fmt.Errorf("wireless: binary recording truncated: footer declares %d transitions, stream held %d",
+			env.count, cur.n)
+	}
+	return env, trs, maxNode, nil
+}
+
+// streamValidator enforces the structural trace rules one transition at a
+// time: finite positive scan interval and duration, ordered non-negative
+// pairs, finite times non-decreasing from 0 and within the duration, and
+// per-pair up/down alternation. It is the only implementation of those
+// rules — the decoders and Recording.Validate all run it.
+//
+// Pair state lives in a dense bitmap for the common small-id case (several
+// times faster than a map), with a map fallback for huge or sparse id
+// spaces. The bitmap starts at the caller's stride: exact for Validate,
+// which knows MaxNode, so it never grows there; a first guess for a
+// decode stream, doubled as higher ids appear. The state structure is the
+// only allocation and is paid once per validation pass, never per
+// transition.
 type streamValidator struct {
 	duration float64
 	last     float64
 	i        int
 
-	stride int    // dense bitmap stride; rows/cols are node ids
+	stride int    // dense bitmap stride; rows/cols are node ids; 0 on the map path
 	dense  []bool // pair (a, b) up-state at a*stride+b
 	sparse map[pairKey]bool
 }
 
-// streamDenseMax mirrors Validate's dense-path cutoff: beyond this stride
-// the bitmap (stride²  bools) costs more than the map.
+// streamDenseMax is the dense-path cutoff: beyond this stride the bitmap
+// (stride² bools) costs more than the map.
 const streamDenseMax = 1 << 11
 
-func newStreamValidator(scanInterval, duration float64) (*streamValidator, error) {
-	if scanInterval <= 0 {
-		return nil, fmt.Errorf("wireless: recording has non-positive scan interval %v", scanInterval)
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// newStreamValidator checks the trace header and returns a validator whose
+// dense bitmap covers node ids below stride; a stride outside
+// (0, streamDenseMax] — including one overflowed by an absurd MaxNode —
+// starts on the map instead.
+func newStreamValidator(scanInterval, duration float64, stride int) (streamValidator, error) {
+	switch {
+	case !finite(scanInterval):
+		return streamValidator{}, fmt.Errorf("wireless: recording has non-finite scan interval %v", scanInterval)
+	case scanInterval <= 0:
+		return streamValidator{}, fmt.Errorf("wireless: recording has non-positive scan interval %v", scanInterval)
+	case !finite(duration):
+		return streamValidator{}, fmt.Errorf("wireless: recording has non-finite duration %v", duration)
+	case duration <= 0:
+		return streamValidator{}, fmt.Errorf("wireless: recording has non-positive duration %v", duration)
 	}
-	if duration <= 0 {
-		return nil, fmt.Errorf("wireless: recording has non-positive duration %v", duration)
+	v := streamValidator{duration: duration}
+	if stride > 0 && stride <= streamDenseMax {
+		v.stride, v.dense = stride, make([]bool, stride*stride)
+	} else {
+		v.sparse = make(map[pairKey]bool)
 	}
-	const initialStride = 64
-	return &streamValidator{
-		duration: duration,
-		stride:   initialStride,
-		dense:    make([]bool, initialStride*initialStride),
-	}, nil
+	return v, nil
 }
 
-// check admits one transition or reports the first structural defect, with
-// the same rules (and messages) as Recording.Validate.
+// check admits one transition or reports the first structural defect.
+// The common case — an ordered in-range pair on the dense bitmap
+// flipping its state — is admitted in one branch, which keeps Validate as
+// fast as a hand-inlined loop; everything else (every defect, growing the
+// bitmap, the map path) goes to checkSlow. A NaN time fails both time
+// comparisons, so it always takes the slow path.
 func (v *streamValidator) check(tr Transition) error {
+	if tr.A >= 0 && tr.A < tr.B && tr.B < v.stride && tr.Time >= v.last && tr.Time <= v.duration {
+		i := tr.A*v.stride + tr.B
+		if v.dense[i] != tr.Up {
+			v.dense[i] = tr.Up
+			v.last = tr.Time
+			v.i++
+			return nil
+		}
+	}
+	return v.checkSlow(tr)
+}
+
+// checkSlow applies every structural rule in order and names the first
+// one tr breaks. A NaN time must be caught explicitly: it compares false
+// against everything, so the ordering and horizon checks would wave it —
+// and, through last, every later transition — through.
+func (v *streamValidator) checkSlow(tr Transition) error {
 	switch {
 	case tr.A < 0 || tr.B <= tr.A:
 		return fmt.Errorf("wireless: recording transition %d has bad pair (%d, %d)", v.i, tr.A, tr.B)
+	case !finite(tr.Time):
+		return fmt.Errorf("wireless: recording transition %d has non-finite time %v", v.i, tr.Time)
 	case tr.Time < v.last:
 		return fmt.Errorf("wireless: recording transition %d at %v before predecessor at %v", v.i, tr.Time, v.last)
 	case tr.Time > v.duration:
 		return fmt.Errorf("wireless: recording transition %d at %v beyond duration %v", v.i, tr.Time, v.duration)
 	}
+	if v.sparse == nil && tr.B >= v.stride {
+		v.grow(tr.B)
+	}
 	var up bool
 	if v.sparse != nil {
 		up = v.sparse[pairKey{tr.A, tr.B}]
 	} else {
-		if tr.B >= v.stride {
-			v.grow(tr.B)
-		}
-		if v.sparse != nil { // grow fell back to the map
-			up = v.sparse[pairKey{tr.A, tr.B}]
-		} else {
-			up = v.dense[tr.A*v.stride+tr.B]
-		}
+		up = v.dense[tr.A*v.stride+tr.B]
 	}
 	if up == tr.Up {
 		return fmt.Errorf("wireless: recording transition %d repeats state up=%v of pair (%d, %d)", v.i, tr.Up, tr.A, tr.B)
@@ -203,7 +289,7 @@ func (v *streamValidator) grow(b int) {
 				v.sparse[pairKey{i / v.stride, i % v.stride}] = true
 			}
 		}
-		v.dense = nil
+		v.dense, v.stride = nil, 0 // stride 0 keeps check off the dense path
 		return
 	}
 	stride := v.stride
@@ -218,112 +304,6 @@ func (v *streamValidator) grow(b int) {
 	}
 	v.dense = wide
 	v.stride = stride
-}
-
-// RecordingReader streams the transitions of a binary contact trace one at
-// a time, never materializing the slice — the decoder for traces too large
-// to slurp. The container (magic, version, CRC32, count bound) is verified
-// before the first transition is yielded, and every transition passes the
-// same per-entry and structural checks DecodeBinary applies, so the reader
-// can never hand out a prefix of a damaged trace.
-type RecordingReader struct {
-	meta    RecordingMeta
-	cur     binCursor
-	val     *streamValidator
-	unmap   func() error
-	failed  error
-	maxNode int
-}
-
-// NewRecordingReader starts streaming the binary trace held in data. The
-// container is verified up front; transitions decode lazily in Next.
-func NewRecordingReader(data []byte) (*RecordingReader, error) {
-	env, err := parseBinaryEnvelope(data)
-	if err != nil {
-		return nil, err
-	}
-	val, err := newStreamValidator(env.scanInterval, env.duration)
-	if err != nil {
-		return nil, fmt.Errorf("wireless: binary recording invalid: %w", err)
-	}
-	return &RecordingReader{
-		meta:    RecordingMeta{ScanInterval: env.scanInterval, Duration: env.duration, Transitions: int(env.count)},
-		cur:     binCursor{p: env.stream},
-		val:     val,
-		maxNode: -1,
-	}, nil
-}
-
-// OpenRecording opens the binary trace at path for streaming, mapping the
-// file into memory where the platform allows (a shared page-cached copy,
-// no heap) and falling back to a plain read elsewhere. Close releases the
-// mapping; the reader must not be used after Close.
-func OpenRecording(path string) (*RecordingReader, error) {
-	data, unmap, err := mapFile(path)
-	if err != nil {
-		return nil, err
-	}
-	r, err := NewRecordingReader(data)
-	if err != nil {
-		if unmap != nil {
-			unmap()
-		}
-		return nil, err
-	}
-	r.unmap = unmap
-	return r, nil
-}
-
-// Meta returns the trace's header fields and declared transition count.
-func (r *RecordingReader) Meta() RecordingMeta { return r.meta }
-
-// MaxNode returns the highest node id among the transitions yielded so
-// far (-1 before the first); after a clean drain to io.EOF it is the
-// trace's MaxNode.
-func (r *RecordingReader) MaxNode() int { return r.maxNode }
-
-// Next returns the next transition. It returns io.EOF after the final
-// transition of an intact trace, and a descriptive error — sticky across
-// further calls — if the stream turns out damaged (a count that lies about
-// the stream length, a malformed entry, a structural violation).
-func (r *RecordingReader) Next() (Transition, error) {
-	if r.failed != nil {
-		return Transition{}, r.failed
-	}
-	tr, ok, err := r.cur.next()
-	if err != nil {
-		r.failed = err
-		return Transition{}, err
-	}
-	if !ok {
-		if r.cur.n != r.meta.Transitions {
-			r.failed = fmt.Errorf("wireless: binary recording truncated: footer declares %d transitions, stream held %d",
-				r.meta.Transitions, r.cur.n)
-			return Transition{}, r.failed
-		}
-		r.failed = io.EOF
-		return Transition{}, io.EOF
-	}
-	if err := r.val.check(tr); err != nil {
-		r.failed = fmt.Errorf("wireless: binary recording invalid: %w", err)
-		return Transition{}, r.failed
-	}
-	if tr.B > r.maxNode {
-		r.maxNode = tr.B
-	}
-	return tr, nil
-}
-
-// Close releases the file mapping, if any. Safe to call more than once.
-func (r *RecordingReader) Close() error {
-	unmap := r.unmap
-	r.unmap = nil
-	r.failed = fmt.Errorf("wireless: recording reader closed")
-	r.cur.p = nil
-	if unmap != nil {
-		return unmap()
-	}
-	return nil
 }
 
 // mapFile returns the contents of path, memory-mapped read-only when the

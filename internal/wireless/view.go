@@ -54,38 +54,12 @@ func OpenRecordingView(path string) (*RecordingView, error) {
 	return v, nil
 }
 
-// newRecordingView runs the full decode + structural validation pass —
-// the work DecodeBinary does, minus building the slice — and captures the
-// trace's MaxNode along the way.
+// newRecordingView runs the shared decode pass without keeping the
+// transitions, capturing the trace's MaxNode along the way.
 func newRecordingView(data []byte, unmap func() error) (*RecordingView, error) {
-	env, err := parseBinaryEnvelope(data)
+	env, _, maxNode, err := decodeBinary(data, false)
 	if err != nil {
 		return nil, err
-	}
-	val, err := newStreamValidator(env.scanInterval, env.duration)
-	if err != nil {
-		return nil, fmt.Errorf("wireless: binary recording invalid: %w", err)
-	}
-	maxNode := -1
-	cur := binCursor{p: env.stream}
-	for {
-		tr, ok, err := cur.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if err := val.check(tr); err != nil {
-			return nil, fmt.Errorf("wireless: binary recording invalid: %w", err)
-		}
-		if tr.B > maxNode {
-			maxNode = tr.B
-		}
-	}
-	if uint64(cur.n) != env.count {
-		return nil, fmt.Errorf("wireless: binary recording truncated: footer declares %d transitions, stream held %d",
-			env.count, cur.n)
 	}
 	return &RecordingView{
 		meta:    RecordingMeta{ScanInterval: env.scanInterval, Duration: env.duration, Transitions: int(env.count)},

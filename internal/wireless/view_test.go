@@ -3,7 +3,6 @@ package wireless
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -98,8 +97,8 @@ func TestOpenRecordingView(t *testing.T) {
 }
 
 // TestViewRejectsWhatDecodeRejects: for every truncation offset of a real
-// trace, the view and the streaming reader reach the same verdict as
-// DecodeBinary — the three decoders share one acceptance set.
+// trace, the view reaches the same verdict as DecodeBinary — the two
+// decoders share one acceptance set.
 func TestViewRejectsWhatDecodeRejects(t *testing.T) {
 	rec, _ := liveRecording(t, crossingEntities(), 120)
 	enc := EncodeBinary(rec)
@@ -110,92 +109,46 @@ func TestViewRejectsWhatDecodeRejects(t *testing.T) {
 		if (decErr == nil) != (viewErr == nil) {
 			t.Fatalf("prefix %d/%d: DecodeBinary err=%v, NewRecordingView err=%v", i, len(enc), decErr, viewErr)
 		}
-		rdr, rdrErr := NewRecordingReader(data)
-		if rdrErr == nil {
-			rdrErr = drainReader(rdr)
-			if rdrErr == io.EOF {
-				rdrErr = nil
-			}
-		}
-		if (decErr == nil) != (rdrErr == nil) {
-			t.Fatalf("prefix %d/%d: DecodeBinary err=%v, RecordingReader err=%v", i, len(enc), decErr, rdrErr)
-		}
 	}
 }
 
-// drainReader consumes rdr to its end, returning io.EOF on a clean drain
-// or the first failure.
-func drainReader(rdr *RecordingReader) error {
-	for {
-		if _, err := rdr.Next(); err != nil {
-			return err
-		}
-	}
+// reseal recomputes an edited encoding's CRC, so that only the decoders'
+// own checks stand between the edit and acceptance.
+func reseal(enc []byte) []byte {
+	binary.LittleEndian.PutUint32(enc[len(enc)-4:], crc32.ChecksumIEEE(enc[:len(enc)-4]))
+	return enc
 }
 
-// TestRecordingReaderStreams: OpenRecording yields the exact transition
-// sequence incrementally, ends with io.EOF, and stays failed after Close.
-func TestRecordingReaderStreams(t *testing.T) {
-	rec, _ := liveRecording(t, crossingEntities(), 120)
-	path := writeTempTrace(t, rec)
-
-	rdr, err := OpenRecording(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rdr.Meta().Transitions != len(rec.Transitions) {
-		t.Fatalf("reader meta declares %d transitions, want %d", rdr.Meta().Transitions, len(rec.Transitions))
-	}
-	var got []Transition
-	for {
-		tr, err := rdr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, tr)
-	}
-	if !reflect.DeepEqual(got, rec.Transitions) {
-		t.Fatal("streamed transitions differ from the recording")
-	}
-	if _, err := rdr.Next(); err != io.EOF {
-		t.Fatalf("post-EOF Next = %v, want io.EOF", err)
-	}
-	if err := rdr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rdr.Next(); err == nil || err == io.EOF {
-		t.Fatalf("Next after Close = %v, want a closed error", err)
-	}
-}
-
-// TestReaderRejectsLyingCount: a file whose CRC is valid but whose footer
-// count disagrees with the stream — constructible by an attacker or a
-// buggy writer, not by truncation — is rejected by all three decoders.
-func TestReaderRejectsLyingCount(t *testing.T) {
+// TestDecodersRejectResealedDamage: CRC-valid files no encoder writes —
+// constructible by an attacker or a buggy writer, not by truncation — are
+// rejected by both binary decoders: a footer count that lies about the
+// stream, and a padded (non-minimal) varint, which would give one trace
+// two encodings.
+func TestDecodersRejectResealedDamage(t *testing.T) {
 	rec := &Recording{ScanInterval: 1, Duration: 10, Transitions: []Transition{
 		{Time: 1, A: 0, B: 1, Up: true},
 		{Time: 2, A: 0, B: 1, Up: false},
 	}}
-	enc := EncodeBinary(rec)
-	// Rewrite the count (2 -> 1) and re-seal the CRC.
-	binary.LittleEndian.PutUint64(enc[len(enc)-12:len(enc)-4], 1)
-	binary.LittleEndian.PutUint32(enc[len(enc)-4:], crc32.ChecksumIEEE(enc[:len(enc)-4]))
 
-	if _, err := DecodeBinary(enc); err == nil {
-		t.Fatal("DecodeBinary accepted a lying count")
-	}
-	if _, err := NewRecordingView(enc); err == nil {
-		t.Fatal("NewRecordingView accepted a lying count")
-	}
-	rdr, err := NewRecordingReader(enc)
-	if err != nil {
-		t.Fatal(err) // the envelope itself is fine; the stream must fail
-	}
-	if err := drainReader(rdr); err == io.EOF || err == nil {
-		t.Fatal("RecordingReader drained a lying count cleanly")
+	lying := EncodeBinary(rec)
+	binary.LittleEndian.PutUint64(lying[len(lying)-12:len(lying)-4], 1) // count 2 -> 1
+
+	enc := EncodeBinary(rec)
+	timeOff := binaryHeaderLen + 1 // the first transition's time varint, after its flags
+	_, n := binary.Varint(enc[timeOff:])
+	nodeOff := timeOff + n // its nodeA uvarint: 0x00 for node 0
+	pad := append(append(append([]byte(nil), enc[:nodeOff]...), 0x80, 0x00), enc[nodeOff+1:]...)
+
+	for name, data := range map[string][]byte{
+		"lying count":   reseal(lying),
+		"padded varint": reseal(pad),
+	} {
+		if _, err := DecodeBinary(data); err == nil {
+			t.Errorf("%s: DecodeBinary accepted it", name)
+		}
+		if _, err := NewRecordingView(data); err == nil {
+			t.Errorf("%s: NewRecordingView accepted it", name)
+		}
 	}
 }
 

@@ -236,9 +236,6 @@ type (
 	// trace allocation, shareable across concurrent runs and — through
 	// the page cache — across processes.
 	ContactRecordingView = wireless.RecordingView
-	// ContactRecordingReader streams a binary trace transition by
-	// transition without materializing it (for traces too large to slurp).
-	ContactRecordingReader = wireless.RecordingReader
 	// ContactRecordingMeta is a trace's fixed-size description (scan
 	// interval, horizon, transition count).
 	ContactRecordingMeta = wireless.RecordingMeta
@@ -271,8 +268,7 @@ func RecordContactsContext(ctx context.Context, cfg Config) (*ContactRecording, 
 
 // ParseContactRecording reads the text form written by
 // ContactRecording.Format. The "end <count>" trailer is required so a
-// truncated file is detected; use DecodeContactRecordingLegacy for files
-// written before the trailer existed.
+// truncated file is detected.
 func ParseContactRecording(text string) (*ContactRecording, error) {
 	return wireless.ParseRecording(text)
 }
@@ -293,27 +289,12 @@ func DecodeContactRecording(data []byte) (*ContactRecording, error) {
 	return wireless.DecodeRecording(data)
 }
 
-// DecodeContactRecordingLegacy decodes like DecodeContactRecording but
-// tolerates text traces written before the "end <count>" trailer existed;
-// warn (if non-nil) is told that such a file's truncation cannot be
-// detected.
-func DecodeContactRecordingLegacy(data []byte, warn func(msg string)) (*ContactRecording, error) {
-	return wireless.DecodeRecordingLegacy(data, warn)
-}
-
 // OpenContactRecordingView memory-maps the binary trace at path and
 // validates it once (CRC32, count, structural rules — everything
 // DecodeContactRecording checks). The returned view replays bit-identically
 // to the decoded recording; Close releases the mapping.
 func OpenContactRecordingView(path string) (*ContactRecordingView, error) {
 	return wireless.OpenRecordingView(path)
-}
-
-// OpenContactRecording opens the binary trace at path for incremental
-// streaming — transitions decode one at a time, integrity-checked, without
-// ever materializing the trace.
-func OpenContactRecording(path string) (*ContactRecordingReader, error) {
-	return wireless.OpenRecording(path)
 }
 
 // RecordingPlan converts a recording into a contact plan (open contacts
