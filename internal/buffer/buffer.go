@@ -10,6 +10,7 @@ package buffer
 
 import (
 	"fmt"
+	"slices"
 
 	"vdtn/internal/bundle"
 	"vdtn/internal/core"
@@ -84,6 +85,12 @@ func (s *Store) Messages() []*bundle.Message {
 	return out
 }
 
+// View returns the stored replicas in insertion order without copying.
+// The slice aliases the store: callers must not modify it, and it is
+// valid only until the next Add, Remove or Expire. Use Messages to
+// iterate while mutating the store.
+func (s *Store) View() []*bundle.Message { return s.order }
+
 // Add stores m, evicting victims chosen by drop until m fits. It returns
 // the evicted replicas (in eviction order) and whether m was stored.
 //
@@ -143,16 +150,31 @@ func (s *Store) removeAt(i int) *bundle.Message {
 // Expire removes and returns every replica whose TTL has run out at now,
 // in insertion order. The simulator calls this from its periodic sweep and
 // before policy decisions, so policies never see dead messages.
+//
+// One pass compacts the survivors in place and re-indexes only those that
+// moved, from the first removed position on.
 func (s *Store) Expire(now float64) []*bundle.Message {
-	var dead []*bundle.Message
-	for i := 0; i < len(s.order); {
-		if s.order[i].Expired(now) {
-			dead = append(dead, s.removeAt(i))
-		} else {
-			i++
-		}
+	first := slices.IndexFunc(s.order, func(m *bundle.Message) bool { return m.Expired(now) })
+	if first < 0 {
+		return nil
 	}
-	if len(dead) > 0 && s.onExpire != nil {
+	var dead []*bundle.Message
+	kept := s.order[:first]
+	for _, m := range s.order[first:] {
+		if !m.Expired(now) {
+			kept = append(kept, m)
+			continue
+		}
+		dead = append(dead, m)
+		delete(s.byID, m.ID)
+		s.used -= m.Size
+	}
+	clear(s.order[len(kept):])
+	s.order = kept
+	for i := first; i < len(kept); i++ {
+		s.byID[kept[i].ID] = i
+	}
+	if s.onExpire != nil {
 		s.onExpire(now, dead)
 	}
 	return dead

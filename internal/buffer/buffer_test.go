@@ -185,6 +185,54 @@ func TestExpire(t *testing.T) {
 	s.check()
 }
 
+// TestExpireNonAdjacent expires replicas scattered through the buffer —
+// first, middle and last, none adjacent — so the one-pass compaction must
+// re-index every survivor that moved. Both the returned batch and the
+// hook's batch keep insertion order.
+func TestExpireNonAdjacent(t *testing.T) {
+	s := NewStore(units.MB(10))
+	var hooked []*bundle.Message
+	s.SetExpireHook(func(now float64, dead []*bundle.Message) {
+		hooked = append(hooked, dead...)
+	})
+	// Odd ids expire at 100, even ids live to 500.
+	for i := 1; i <= 7; i++ {
+		ttl := 500.0
+		if i%2 == 1 {
+			ttl = 100
+		}
+		s.Add(0, msg(bundle.ID(i), units.KB(100), 0, ttl), nil)
+	}
+	dead := s.Expire(100)
+	want := []bundle.ID{1, 3, 5, 7}
+	if len(dead) != len(want) || len(hooked) != len(want) {
+		t.Fatalf("Expire = %v, hook saw %v, want ids %v", dead, hooked, want)
+	}
+	for i, id := range want {
+		if dead[i].ID != id || hooked[i].ID != id {
+			t.Fatalf("Expire = %v, hook saw %v, want ids %v", dead, hooked, want)
+		}
+	}
+	s.check()
+	for i, m := range s.Messages() {
+		if m.ID != bundle.ID(2*(i+1)) {
+			t.Fatalf("survivors %v, want M2 M4 M6 in insertion order", s.Messages())
+		}
+	}
+	if s.Used() != units.KB(300) {
+		t.Fatalf("used %v after expiry, want 300 KB", s.Used())
+	}
+	// The compacted store keeps working: index lookups, removal and adds.
+	if m := s.Remove(4); m == nil || m.ID != 4 {
+		t.Fatal("Remove(4) after Expire")
+	}
+	s.Add(100, msg(8, units.KB(100), 100, 50), nil)
+	s.check()
+	if got := s.View(); len(got) != 3 || got[0].ID != 2 || got[1].ID != 6 || got[2].ID != 8 {
+		t.Fatalf("View = %v, want [M2 M6 M8]", got)
+	}
+}
+
 func TestExpireBoundaryInclusive(t *testing.T) {
 	s := NewStore(units.MB(1))
 	s.Add(0, msg(1, units.KB(500), 0, 100), nil)

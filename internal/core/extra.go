@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"vdtn/internal/bundle"
 )
@@ -22,11 +23,11 @@ func (SizeASCSchedule) Name() string { return "SizeASC" }
 
 // Order implements SchedulingPolicy.
 func (SizeASCSchedule) Order(now float64, msgs []*bundle.Message) {
-	sort.SliceStable(msgs, func(i, j int) bool {
-		if msgs[i].Size != msgs[j].Size {
-			return msgs[i].Size < msgs[j].Size
+	slices.SortStableFunc(msgs, func(a, b *bundle.Message) int {
+		if c := cmp.Compare(a.Size, b.Size); c != 0 {
+			return c
 		}
-		return msgs[i].ID < msgs[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 
@@ -40,11 +41,11 @@ func (HopCountASCSchedule) Name() string { return "HopASC" }
 
 // Order implements SchedulingPolicy.
 func (HopCountASCSchedule) Order(now float64, msgs []*bundle.Message) {
-	sort.SliceStable(msgs, func(i, j int) bool {
-		if msgs[i].HopCount != msgs[j].HopCount {
-			return msgs[i].HopCount < msgs[j].HopCount
+	slices.SortStableFunc(msgs, func(a, b *bundle.Message) int {
+		if c := cmp.Compare(a.HopCount, b.HopCount); c != 0 {
+			return c
 		}
-		return msgs[i].ID < msgs[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 

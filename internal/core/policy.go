@@ -13,7 +13,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"vdtn/internal/bundle"
 	"vdtn/internal/xrand"
@@ -58,11 +59,14 @@ func (FIFOSchedule) Name() string { return "FIFO" }
 
 // Order implements SchedulingPolicy.
 func (FIFOSchedule) Order(now float64, msgs []*bundle.Message) {
-	sort.SliceStable(msgs, func(i, j int) bool {
-		if msgs[i].ReceivedAt != msgs[j].ReceivedAt {
-			return msgs[i].ReceivedAt < msgs[j].ReceivedAt
+	slices.SortStableFunc(msgs, func(a, b *bundle.Message) int {
+		switch {
+		case a.ReceivedAt < b.ReceivedAt:
+			return -1
+		case a.ReceivedAt > b.ReceivedAt:
+			return 1
 		}
-		return msgs[i].ID < msgs[j].ID // deterministic tie-break
+		return cmp.Compare(a.ID, b.ID) // deterministic tie-break
 	})
 }
 
@@ -99,12 +103,14 @@ func (LifetimeDESCSchedule) Name() string { return "LifetimeDESC" }
 
 // Order implements SchedulingPolicy.
 func (LifetimeDESCSchedule) Order(now float64, msgs []*bundle.Message) {
-	sort.SliceStable(msgs, func(i, j int) bool {
-		ri, rj := msgs[i].RemainingTTL(now), msgs[j].RemainingTTL(now)
-		if ri != rj {
-			return ri > rj
+	slices.SortStableFunc(msgs, func(a, b *bundle.Message) int {
+		switch ra, rb := a.RemainingTTL(now), b.RemainingTTL(now); {
+		case ra > rb:
+			return -1
+		case ra < rb:
+			return 1
 		}
-		return msgs[i].ID < msgs[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 

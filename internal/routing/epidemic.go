@@ -47,36 +47,18 @@ func (e *Epidemic) ContactUp(now float64, p Peer) { e.Refresh(now, p) }
 // messages destined to p first ("exchange deliverable messages first"),
 // then everything p lacks, each group in scheduling-policy order.
 func (e *Epidemic) Refresh(now float64, p Peer) {
-	e.buf.Expire(now)
-	var deliverable, rest []*bundle.Message
-	for _, m := range e.buf.Messages() {
-		switch {
-		case p.HasDelivered(m.ID):
-			continue
-		case m.To == p.ID():
-			deliverable = append(deliverable, m)
-		case p.Has(m.ID):
-			continue
-		default:
-			rest = append(rest, m)
-		}
-	}
-	e.pol.Schedule.Order(now, deliverable)
-	e.pol.Schedule.Order(now, rest)
-	e.queues.set(p.ID(), append(deliverable, rest...))
+	e.queues.rebuild(now, e.buf, p, e.pol.Schedule, epidemicRelay)
 }
+
+// epidemicRelay offers p every replica it lacks.
+func epidemicRelay(p Peer, m *bundle.Message) bool { return !p.Has(m.ID) }
 
 // ContactDown implements Router.
 func (e *Epidemic) ContactDown(now float64, p Peer) { e.queues.drop(p.ID()) }
 
 // NextSend implements Router.
 func (e *Epidemic) NextSend(now float64, p Peer) *Send {
-	m := e.queues.pop(p.ID(), func(m *bundle.Message) bool {
-		if !e.buf.Has(m.ID) || m.Expired(now) || p.HasDelivered(m.ID) {
-			return false
-		}
-		return m.To == p.ID() || !p.Has(m.ID)
-	})
+	m := e.queues.next(now, e.buf, p, epidemicRelay)
 	if m == nil {
 		return nil
 	}

@@ -19,8 +19,11 @@
 package routing
 
 import (
+	"slices"
+
 	"vdtn/internal/buffer"
 	"vdtn/internal/bundle"
+	"vdtn/internal/core"
 )
 
 // Peer is a router's view of a node it is currently in contact with.
@@ -92,36 +95,137 @@ type Router interface {
 // Queues hold buffered replicas in transmission order; entries are
 // revalidated at pop time because buffer contents change while queued
 // (TTL expiry, evictions, copies delivered elsewhere).
+//
+// Queue storage is recycled: a rebuild refills the peer's existing
+// backing array, an ended contact's queue is kept for the next one, and
+// the relay group is staged in one scratch slice per router, so a
+// steady-state rebuild allocates nothing. The storage may still
+// reference replicas already popped or left over from an older queue;
+// nothing reads those slots again.
 type queueSet struct {
-	queues map[int][]*bundle.Message
+	queues map[int]*peerQueue
+	spare  []*peerQueue      // queues of ended contacts, kept for reuse
+	relay  []*bundle.Message // relay-group scratch for rebuild
 }
+
+// peerQueue is one peer's send queue: msgs[head:] are pending, in
+// transmission order. Popping advances head rather than reslicing, so the
+// whole backing array stays available to the next rebuild.
+type peerQueue struct {
+	msgs []*bundle.Message
+	head int
+}
+
+// relayRule reports whether a replica not destined to p should be relayed
+// to p. rebuild applies it to pick the relay group, and next applies it
+// again at pop time, since the answer can change while the replica waits
+// (the peer may receive it from a third node).
+type relayRule func(p Peer, m *bundle.Message) bool
 
 func newQueueSet() queueSet {
-	return queueSet{queues: make(map[int][]*bundle.Message)}
+	return queueSet{queues: make(map[int]*peerQueue)}
 }
 
-func (q *queueSet) set(peer int, msgs []*bundle.Message) { q.queues[peer] = msgs }
+// queue returns peer's queue, creating (or recycling) an empty one.
+func (q *queueSet) queue(peer int) *peerQueue {
+	pq := q.queues[peer]
+	if pq == nil {
+		if n := len(q.spare); n > 0 {
+			pq, q.spare = q.spare[n-1], q.spare[:n-1]
+			pq.msgs, pq.head = pq.msgs[:0], 0
+		} else {
+			pq = new(peerQueue)
+		}
+		q.queues[peer] = pq
+	}
+	return pq
+}
 
-func (q *queueSet) drop(peer int) { delete(q.queues, peer) }
+// set replaces peer's queue with msgs, which the queue takes over.
+func (q *queueSet) set(peer int, msgs []*bundle.Message) {
+	pq := q.queue(peer)
+	pq.msgs, pq.head = msgs, 0
+}
+
+// rebuild expires buf's dead replicas, then refills p's queue in
+// transmission order: the replicas destined to p first, then — when relay
+// is non-nil — those relay accepts, each group put in sched order.
+// Replicas p has already received as destination are left out. Order
+// runs on each group even when it is empty, so a Random schedule sees the
+// same call sequence on every rebuild: twice per call, deliverable then
+// relay, or once with a nil relay.
+func (q *queueSet) rebuild(now float64, buf *buffer.Store, p Peer, sched core.SchedulingPolicy, relay relayRule) {
+	buf.Expire(now)
+	to := p.ID()
+	pq := q.queue(to)
+	out, rest := pq.msgs[:0], q.relay[:0]
+	for _, m := range buf.View() {
+		switch {
+		case m.To == to:
+			if !p.HasDelivered(m.ID) {
+				out = append(out, m)
+			}
+		case relay != nil && !p.HasDelivered(m.ID) && relay(p, m):
+			rest = append(rest, m)
+		}
+	}
+	sched.Order(now, out)
+	if relay != nil {
+		sched.Order(now, rest)
+		out = append(out, rest...)
+	}
+	pq.msgs, pq.head, q.relay = out, 0, rest
+}
+
+// drop forgets peer's queue, keeping its storage for a later contact.
+// The queue is emptied only when reused: contacts end far more often
+// than they carry traffic, and touching the queue here costs a cache
+// miss per contact.
+func (q *queueSet) drop(peer int) {
+	if pq := q.queues[peer]; pq != nil {
+		delete(q.queues, peer)
+		q.spare = append(q.spare, pq)
+	}
+}
 
 // pop returns the first queued message satisfying valid, discarding
 // entries that fail it. Returns nil when the queue is exhausted.
 func (q *queueSet) pop(peer int, valid func(*bundle.Message) bool) *bundle.Message {
-	queue := q.queues[peer]
-	for len(queue) > 0 {
-		m := queue[0]
-		queue = queue[1:]
+	pq := q.queues[peer]
+	if pq == nil {
+		return nil
+	}
+	for pq.head < len(pq.msgs) {
+		m := pq.msgs[pq.head]
+		pq.head++
 		if valid(m) {
-			q.queues[peer] = queue
 			return m
 		}
 	}
-	q.queues[peer] = queue
 	return nil
+}
+
+// next pops p's first queued replica that is still worth sending, under
+// the rules rebuild queued it by: still buffered, alive, not yet delivered
+// to p, and destined to p or accepted by relay.
+func (q *queueSet) next(now float64, buf *buffer.Store, p Peer, relay relayRule) *bundle.Message {
+	to := p.ID()
+	return q.pop(to, func(m *bundle.Message) bool {
+		if !buf.Has(m.ID) || m.Expired(now) || p.HasDelivered(m.ID) {
+			return false
+		}
+		return m.To == to || relay != nil && relay(p, m)
+	})
 }
 
 // push re-queues a message at the front (used after an aborted transfer so
 // the replica is retried first if the contact resumes).
 func (q *queueSet) push(peer int, m *bundle.Message) {
-	q.queues[peer] = append([]*bundle.Message{m}, q.queues[peer]...)
+	pq := q.queue(peer)
+	if pq.head > 0 {
+		pq.head--
+		pq.msgs[pq.head] = m
+		return
+	}
+	pq.msgs = slices.Insert(pq.msgs, 0, m)
 }

@@ -41,15 +41,7 @@ func (d *DirectDelivery) ContactUp(now float64, p Peer) { d.Refresh(now, p) }
 
 // Refresh implements Router.
 func (d *DirectDelivery) Refresh(now float64, p Peer) {
-	d.buf.Expire(now)
-	var deliverable []*bundle.Message
-	for _, m := range d.buf.Messages() {
-		if m.To == p.ID() && !p.HasDelivered(m.ID) {
-			deliverable = append(deliverable, m)
-		}
-	}
-	d.pol.Schedule.Order(now, deliverable)
-	d.queues.set(p.ID(), deliverable)
+	d.queues.rebuild(now, d.buf, p, d.pol.Schedule, nil)
 }
 
 // ContactDown implements Router.
@@ -57,9 +49,7 @@ func (d *DirectDelivery) ContactDown(now float64, p Peer) { d.queues.drop(p.ID()
 
 // NextSend implements Router.
 func (d *DirectDelivery) NextSend(now float64, p Peer) *Send {
-	m := d.queues.pop(p.ID(), func(m *bundle.Message) bool {
-		return d.buf.Has(m.ID) && !m.Expired(now) && m.To == p.ID() && !p.HasDelivered(m.ID)
-	})
+	m := d.queues.next(now, d.buf, p, nil)
 	if m == nil {
 		return nil
 	}
@@ -124,23 +114,12 @@ func (f *FirstContact) ContactUp(now float64, p Peer) { f.Refresh(now, p) }
 
 // Refresh implements Router.
 func (f *FirstContact) Refresh(now float64, p Peer) {
-	f.buf.Expire(now)
-	var deliverable, rest []*bundle.Message
-	for _, m := range f.buf.Messages() {
-		switch {
-		case p.HasDelivered(m.ID):
-			continue
-		case m.To == p.ID():
-			deliverable = append(deliverable, m)
-		case p.Has(m.ID) || m.HasVisited(p.ID()):
-			continue
-		default:
-			rest = append(rest, m)
-		}
-	}
-	f.pol.Schedule.Order(now, deliverable)
-	f.pol.Schedule.Order(now, rest)
-	f.queues.set(p.ID(), append(deliverable, rest...))
+	f.queues.rebuild(now, f.buf, p, f.pol.Schedule, firstContactRelay)
+}
+
+// firstContactRelay offers p the replicas it lacks and has never carried.
+func firstContactRelay(p Peer, m *bundle.Message) bool {
+	return !p.Has(m.ID) && !m.HasVisited(p.ID())
 }
 
 // ContactDown implements Router.
@@ -148,12 +127,7 @@ func (f *FirstContact) ContactDown(now float64, p Peer) { f.queues.drop(p.ID()) 
 
 // NextSend implements Router.
 func (f *FirstContact) NextSend(now float64, p Peer) *Send {
-	m := f.queues.pop(p.ID(), func(m *bundle.Message) bool {
-		if !f.buf.Has(m.ID) || m.Expired(now) || p.HasDelivered(m.ID) {
-			return false
-		}
-		return m.To == p.ID() || (!p.Has(m.ID) && !m.HasVisited(p.ID()))
-	})
+	m := f.queues.next(now, f.buf, p, firstContactRelay)
 	if m == nil {
 		return nil
 	}

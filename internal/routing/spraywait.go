@@ -70,37 +70,19 @@ func (s *SprayAndWait) ContactUp(now float64, p Peer) { s.Refresh(now, p) }
 // replicas still holding more than one copy — spray candidates the peer
 // lacks; both groups in scheduling-policy order.
 func (s *SprayAndWait) Refresh(now float64, p Peer) {
-	s.buf.Expire(now)
-	var deliverable, spray []*bundle.Message
-	for _, m := range s.buf.Messages() {
-		switch {
-		case p.HasDelivered(m.ID):
-			continue
-		case m.To == p.ID():
-			deliverable = append(deliverable, m)
-		case m.Copies > 1 && !p.Has(m.ID):
-			spray = append(spray, m)
-		}
-	}
-	s.pol.Schedule.Order(now, deliverable)
-	s.pol.Schedule.Order(now, spray)
-	s.queues.set(p.ID(), append(deliverable, spray...))
+	s.queues.rebuild(now, s.buf, p, s.pol.Schedule, sprayRelay)
 }
+
+// sprayRelay offers p the replicas it lacks that still hold more than one
+// copy; a single-copy replica waits for its destination.
+func sprayRelay(p Peer, m *bundle.Message) bool { return m.Copies > 1 && !p.Has(m.ID) }
 
 // ContactDown implements Router.
 func (s *SprayAndWait) ContactDown(now float64, p Peer) { s.queues.drop(p.ID()) }
 
 // NextSend implements Router.
 func (s *SprayAndWait) NextSend(now float64, p Peer) *Send {
-	m := s.queues.pop(p.ID(), func(m *bundle.Message) bool {
-		if !s.buf.Has(m.ID) || m.Expired(now) || p.HasDelivered(m.ID) {
-			return false
-		}
-		if m.To == p.ID() {
-			return true
-		}
-		return m.Copies > 1 && !p.Has(m.ID)
-	})
+	m := s.queues.next(now, s.buf, p, sprayRelay)
 	if m == nil {
 		return nil
 	}

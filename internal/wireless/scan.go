@@ -80,14 +80,27 @@ type scanState struct {
 
 // gridState is the spatial hash: buckets of entity indexes keyed by grid
 // cell, persisting across ticks (an entity moves buckets only when its
-// position crosses a cell border). Compact geometries — every scenario in
-// practice — use a dense row-major array over the occupied bounding box,
-// so the scan's 3x3 neighbourhood walk is direct indexing instead of nine
-// hash lookups per mover. Geometries too spread out for a dense array
-// (area over denseCellCap cells) fall back to a hash map; membership is
-// identical either way, and bucket order never matters (the pair set is
-// sorted before transitions fire), so the representations are
-// byte-equivalent.
+// position crosses a cell border). Pair discovery runs in one of three
+// regimes, by fleet size and spread:
+//
+//   - Direct: fleets of at most directPairsMax entities (the paper's 45
+//     nodes) skip the grid in findPairs and check every entity directly.
+//     The grid is still kept up to date, so a fleet that grows past the
+//     threshold mid-run switches paths with no rebuild.
+//   - Sparse map: the default representation. A fleet whose occupied
+//     bounding box spans more than denseCellCap cells keeps its buckets
+//     in a hash map, one lookup per neighbourhood cell. The paper's
+//     Helsinki map is about 19k padded cells at 30 m, so a fleet spread
+//     over it stays here up to ~2.3k entities (a 1,000-vehicle fleet too).
+//   - Dense: once the occupied box fits denseCellCap, buckets move to a
+//     row-major array over the (padded) box, so the 3x3 neighbourhood walk
+//     is direct indexing. Large fleets (the cap grows with n) and compact
+//     geometries land here; an entity leaving the extent regrows it, or
+//     sends the grid back to the map.
+//
+// Membership is identical in every representation, and bucket order never
+// matters (the pair set is sorted before transitions fire), so the three
+// regimes are byte-equivalent.
 type gridState struct {
 	dense      bool
 	minX, minY int64     // dense array origin, in cell coordinates
@@ -323,15 +336,57 @@ func (m *Medium) evalPositions(now float64, movers []int32) {
 	}
 }
 
+// directPairsMax is the largest fleet whose pair discovery checks each
+// mover against every entity directly instead of walking the grid. Below
+// it the O(movers*n) distance loop beats the neighbourhood walk's nine
+// bucket lookups per mover, which on a wide map are sparse-map lookups
+// (see gridState); TestScanPathCrossover measures the crossover.
+const directPairsMax = 96
+
 // findPairs appends every in-range pair involving one of the given movers
-// to buf, via the mover's 3x3 cell neighbourhood. Mover-mover pairs are
-// enumerated from both ends; the smaller-index end claims the pair, so the
-// union over any partition of the movers holds each pair exactly once —
-// that disjointness is what lets phase 2 shard movers across workers and
-// still merge shards without cross-shard duplicates. Read-only on all
-// shared state (grid, positions, mover flags), so disjoint mover slices
-// can run concurrently.
+// to buf. Mover-mover pairs are enumerated from both ends; the
+// smaller-index end claims the pair, so the union over any partition of
+// the movers holds each pair exactly once — that disjointness is what
+// lets phase 2 shard movers across workers and still merge shards without
+// cross-shard duplicates. Read-only on all shared state (grid, positions,
+// mover flags), so disjoint mover slices can run concurrently.
+//
+// Small fleets check every entity directly; larger ones walk the mover's
+// 3x3 cell neighbourhood. With cells one Range wide, the neighbourhood
+// holds every entity within Range, so both paths apply the same claim
+// rule and distance test to the same candidates and find the same pairs.
 func (m *Medium) findPairs(movers []int32, buf []pairEntry) []pairEntry {
+	if len(m.sc.pos) <= directPairsMax {
+		return m.findPairsDirect(movers, buf)
+	}
+	return m.findPairsGrid(movers, buf)
+}
+
+// claims reports whether mover i records its pair with entity j: never
+// itself, and a mover-mover pair only at its smaller index.
+func (sc *scanState) claims(i, j int32) bool {
+	return j != i && !(sc.isMover[j] && j < i)
+}
+
+// findPairsDirect is findPairs by an all-entities distance check.
+func (m *Medium) findPairsDirect(movers []int32, buf []pairEntry) []pairEntry {
+	sc := &m.sc
+	r2 := m.cfg.Range * m.cfg.Range
+	for _, i := range movers {
+		pi := sc.pos[i]
+		idi := sc.ids[i]
+		for j, pj := range sc.pos {
+			// Distance first: out-of-range entities are the common case.
+			if j := int32(j); pi.Dist2(pj) <= r2 && sc.claims(i, j) {
+				buf = append(buf, pairEntry{ku: packPair(key(idi, sc.ids[j])), a: i, b: j})
+			}
+		}
+	}
+	return buf
+}
+
+// findPairsGrid is findPairs by the mover's 3x3 cell neighbourhood.
+func (m *Medium) findPairsGrid(movers []int32, buf []pairEntry) []pairEntry {
 	sc := &m.sc
 	r2 := m.cfg.Range * m.cfg.Range
 	for _, i := range movers {
@@ -341,12 +396,7 @@ func (m *Medium) findPairs(movers []int32, buf []pairEntry) []pairEntry {
 		for dx := int64(-1); dx <= 1; dx++ {
 			for dy := int64(-1); dy <= 1; dy++ {
 				for _, j := range sc.grid.bucket(cellKey{base.x + dx, base.y + dy}) {
-					// Mover-mover pairs are enumerated from both ends;
-					// count them once, at the smaller index.
-					if j == i || (sc.isMover[j] && j < i) {
-						continue
-					}
-					if pi.Dist2(sc.pos[j]) <= r2 {
+					if sc.claims(i, j) && pi.Dist2(sc.pos[j]) <= r2 {
 						buf = append(buf, pairEntry{ku: packPair(key(idi, sc.ids[j])), a: i, b: j})
 					}
 				}

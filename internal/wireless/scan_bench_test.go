@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -290,4 +291,83 @@ func TestScanSpeedupArtifact(t *testing.T) {
 	if speedup100k < 5 {
 		t.Fatalf("scan speedup vs full rescan at 100k nodes = %.2fx, want >=5x", speedup100k)
 	}
+}
+
+// helsinkiMedium builds a serial-scan medium with n entities spread
+// uniformly over a box the size of the paper's Helsinki map (4500 x 3400 m,
+// about 19k padded cells at the 30 m range), benchMoverFrac of them
+// moving. At this spread the grid stays on its sparse map up to ~2.3k
+// entities, as on the paper map itself.
+func helsinkiMedium(n int) *Medium {
+	m := NewMedium(event.NewScheduler(), testCfg())
+	m.SetHandler(&recorder{})
+	rng := xrand.New(uint64(n))
+	for i := 0; i < n; i++ {
+		p := geo.Point{X: rng.Float64() * 4500, Y: rng.Float64() * 3400}
+		if float64(i%100) < benchMoverFrac*100 {
+			m.Add(&drifter{id: i, home: p, amp: 60, ph: rng.Float64() * 2})
+		} else {
+			m.Add(&parked{id: i, at: p})
+		}
+	}
+	return m
+}
+
+// TestScanPathCrossover measures the two pair-discovery paths of
+// findPairs on paper-map fleets of 16-512 entities and logs where the grid
+// walk starts to beat the direct all-entities check (go test -v shows
+// it); directPairsMax is chosen from this crossover. Only the path
+// agreement is asserted: timings are logged, never gated, and nothing is
+// written to disk.
+func TestScanPathCrossover(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing measurement")
+	}
+	if raceEnabled {
+		t.Skip("timing measurement meaningless under the race detector")
+	}
+	// best returns the fastest of five timed batches, in ns per call.
+	best := func(n int, f func()) float64 {
+		calls := max(100, 64000/n) // a few ms per batch at any n
+		bestNs := math.Inf(1)
+		for rep := 0; rep < 5; rep++ {
+			start := time.Now()
+			for i := 0; i < calls; i++ {
+				f()
+			}
+			bestNs = min(bestNs, float64(time.Since(start).Nanoseconds())/float64(calls))
+		}
+		return bestNs
+	}
+	crossover := 0
+	for _, n := range []int{16, 32, 64, 96, 128, 160, 192, 256, 384, 512} {
+		m := helsinkiMedium(n)
+		for now := 0.0; now < 3; now++ {
+			m.scan(now)
+		}
+		// Replay the last tick's phase 2 on its (still current) movers.
+		sc := &m.sc
+		for _, i := range sc.movers {
+			sc.isMover[i] = true
+		}
+		direct := m.findPairsDirect(sc.movers, nil)
+		grid := m.findPairsGrid(sc.movers, nil)
+		slices.SortFunc(direct, comparePairEntries)
+		slices.SortFunc(grid, comparePairEntries)
+		if !slices.Equal(direct, grid) {
+			t.Fatalf("n=%d: direct path found %d pairs, grid path %d", n, len(direct), len(grid))
+		}
+		buf := make([]pairEntry, 0, len(direct))
+		directNs := best(n, func() { buf = m.findPairsDirect(sc.movers, buf[:0]) })
+		gridNs := best(n, func() { buf = m.findPairsGrid(sc.movers, buf[:0]) })
+		for _, i := range sc.movers {
+			sc.isMover[i] = false
+		}
+		t.Logf("n=%d (%d movers, %d pairs, dense grid %v): direct %.0f ns/tick, grid %.0f ns/tick (direct/grid %.2f)",
+			n, len(sc.movers), len(direct), sc.grid.dense, directNs, gridNs, directNs/gridNs)
+		if crossover == 0 && gridNs < directNs {
+			crossover = n
+		}
+	}
+	t.Logf("grid path first faster at n=%d (0: never in range); directPairsMax=%d", crossover, directPairsMax)
 }

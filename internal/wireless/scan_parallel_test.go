@@ -68,16 +68,18 @@ func buildRandomFleet(m *Medium, rng *xrand.Rand, n int) {
 // TestScanParallelMatchesSerialRandomFleets is the medium-level half of
 // the parallel determinism contract: for every worker count, the full
 // interleaved transition sequence over a randomized moving fleet equals
-// the serial scan's, tick for tick.
+// the serial scan's, tick for tick, on both pair-discovery paths
+// (pathSize).
 func TestScanParallelMatchesSerialRandomFleets(t *testing.T) {
-	for trial := 0; trial < 4; trial++ {
+	for trial := 0; trial < 6; trial++ {
+		n := pathSize(t, trial, 40+trial/2*17)
 		run := func(workers int) (*Medium, *seqRecorder) {
 			s := event.NewScheduler()
 			m := NewMedium(s, parallelCfg(workers))
 			rec := &seqRecorder{}
 			m.SetHandler(rec)
 			rng := xrand.New(900 + uint64(trial))
-			buildRandomFleet(m, rng, 40+trial*17)
+			buildRandomFleet(m, rng, n)
 			m.Start(0)
 			s.RunUntil(60)
 			m.Stop()
@@ -111,11 +113,11 @@ func TestScanParallelMatchesSerialRandomFleets(t *testing.T) {
 // boundary can split a cell cluster, and the merge sees maximal pair
 // churn. Run under -race in CI, this doubles as the pool's data-race
 // audit. Each parallel run is checked against brute force and against the
-// serial sequence.
+// serial sequence, on both pair-discovery paths (pathSize).
 func TestScanParallelCellBoundaryClouds(t *testing.T) {
-	for trial := 0; trial < 6; trial++ {
+	for trial := 0; trial < 8; trial++ {
 		seed := 7700 + uint64(trial)
-		n := 25 + int(seed%20)
+		n := pathSize(t, trial, 25+int(seed%20))
 		// Deterministic boundary-snapped trajectory for node i: positions
 		// are multiples of the 30 m cell size, re-drawn each tick from a
 		// per-node stream so the fleet teleports between cell corners.

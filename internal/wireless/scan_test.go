@@ -52,20 +52,36 @@ func connectedPairs(m *Medium, ids []int) map[pairKey]bool {
 	return out
 }
 
+// pathSize returns the fleet size for an oracle-test trial: the small base
+// size n on even trials, where findPairs takes its direct all-entities
+// check, and n shifted above directPairsMax on odd trials, where it walks
+// the grid — so both pair-discovery paths face the same oracles.
+func pathSize(t *testing.T, trial, n int) int {
+	t.Helper()
+	if n > directPairsMax {
+		t.Fatalf("base fleet size %d exceeds directPairsMax %d: direct path untested", n, directPairsMax)
+	}
+	if trial%2 == 1 {
+		n += directPairsMax
+	}
+	return n
+}
+
 // TestScanMatchesBruteForceOverTime drives the incremental scan across
 // many ticks of a randomized moving cloud — static entities with hints,
 // free movers without — and checks the connected set after every tick
 // against both a brute-force O(n²) oracle and the retained full-rescan
 // reference implementation, plus the adjacency invariant. Coordinates are
 // centred on the origin so negative values and the floor-vs-trunc cell
-// mapping are exercised throughout.
+// mapping are exercised throughout. Trials alternate between the direct
+// and grid pair-discovery paths (pathSize).
 func TestScanMatchesBruteForceOverTime(t *testing.T) {
 	rng := xrand.New(4242)
-	for trial := 0; trial < 8; trial++ {
+	for trial := 0; trial < 12; trial++ {
 		s := event.NewScheduler()
 		m := NewMedium(s, testCfg())
 		m.SetHandler(&recorder{})
-		n := 30 + rng.IntN(40)
+		n := pathSize(t, trial, 30+rng.IntN(40))
 		ids := make([]int, n)
 		posAt := make([]func(now float64) geo.Point, n)
 		for i := 0; i < n; i++ {
@@ -170,14 +186,15 @@ func TestScanMatchesReferenceBoundaryGeometry(t *testing.T) {
 
 // TestScanRandomCellBoundaryClouds is the randomized variant: clouds whose
 // coordinates are snapped to cell-size multiples (worst case for any
-// open/closed cell-interval confusion), checked against brute force.
+// open/closed cell-interval confusion), checked against brute force on
+// both pair-discovery paths (pathSize).
 func TestScanRandomCellBoundaryClouds(t *testing.T) {
 	rng := xrand.New(77)
-	for trial := 0; trial < 20; trial++ {
+	for trial := 0; trial < 30; trial++ {
 		s := event.NewScheduler()
 		m := NewMedium(s, testCfg())
 		m.SetHandler(&recorder{})
-		n := 15 + rng.IntN(25)
+		n := pathSize(t, trial, 15+rng.IntN(25))
 		pts := make([]geo.Point, n)
 		for i := range pts {
 			// Mix of exact multiples of the 30 m cell size and off-grid
