@@ -23,14 +23,17 @@ type Store struct {
 	capacity units.Bytes
 	used     units.Bytes
 	byID     map[bundle.ID]int // id -> index into order
+	present  bundle.IDSet      // ids in byID, for Has
 	order    []*bundle.Message // insertion order, nil-free
+	dead     []*bundle.Message // Expire's batch scratch
 	onExpire func(now float64, dead []*bundle.Message)
 }
 
 // SetExpireHook installs fn to be called with every batch of replicas
 // removed by Expire. The simulator uses it to account TTL deaths exactly,
 // no matter which code path (router decision points or the periodic sweep)
-// triggered the expiry.
+// triggered the expiry. The batch slice is the store's scratch: it is
+// valid only during the call, and fn must not retain it or call Expire.
 func (s *Store) SetExpireHook(fn func(now float64, dead []*bundle.Message)) { s.onExpire = fn }
 
 // NewStore returns an empty buffer with the given capacity in bytes.
@@ -63,10 +66,7 @@ func (s *Store) Occupancy() float64 {
 }
 
 // Has reports whether a replica of id is stored.
-func (s *Store) Has(id bundle.ID) bool {
-	_, ok := s.byID[id]
-	return ok
-}
+func (s *Store) Has(id bundle.ID) bool { return s.present.Has(id) }
 
 // Get returns the stored replica of id, if any.
 func (s *Store) Get(id bundle.ID) (*bundle.Message, bool) {
@@ -119,6 +119,7 @@ func (s *Store) Add(now float64, m *bundle.Message, drop core.DropPolicy) (evict
 		evicted = append(evicted, s.removeAt(v))
 	}
 	s.byID[m.ID] = len(s.order)
+	s.present.Add(m.ID)
 	s.order = append(s.order, m)
 	s.used += m.Size
 	return evicted, true
@@ -140,6 +141,7 @@ func (s *Store) removeAt(i int) *bundle.Message {
 	s.order[len(s.order)-1] = nil
 	s.order = s.order[:len(s.order)-1]
 	delete(s.byID, m.ID)
+	s.present.Delete(m.ID)
 	for j := i; j < len(s.order); j++ {
 		s.byID[s.order[j].ID] = j
 	}
@@ -147,18 +149,19 @@ func (s *Store) removeAt(i int) *bundle.Message {
 	return m
 }
 
-// Expire removes and returns every replica whose TTL has run out at now,
-// in insertion order. The simulator calls this from its periodic sweep and
-// before policy decisions, so policies never see dead messages.
+// Expire removes every replica whose TTL has run out at now and hands
+// them, in insertion order, to the expire hook. The simulator calls this
+// from its periodic sweep and before policy decisions, so policies never
+// see dead messages.
 //
 // One pass compacts the survivors in place and re-indexes only those that
 // moved, from the first removed position on.
-func (s *Store) Expire(now float64) []*bundle.Message {
+func (s *Store) Expire(now float64) {
 	first := slices.IndexFunc(s.order, func(m *bundle.Message) bool { return m.Expired(now) })
 	if first < 0 {
-		return nil
+		return
 	}
-	var dead []*bundle.Message
+	dead := s.dead[:0]
 	kept := s.order[:first]
 	for _, m := range s.order[first:] {
 		if !m.Expired(now) {
@@ -167,6 +170,7 @@ func (s *Store) Expire(now float64) []*bundle.Message {
 		}
 		dead = append(dead, m)
 		delete(s.byID, m.ID)
+		s.present.Delete(m.ID)
 		s.used -= m.Size
 	}
 	clear(s.order[len(kept):])
@@ -177,7 +181,8 @@ func (s *Store) Expire(now float64) []*bundle.Message {
 	if s.onExpire != nil {
 		s.onExpire(now, dead)
 	}
-	return dead
+	clear(dead) // the scratch must not keep dead replicas alive
+	s.dead = dead[:0]
 }
 
 // check panics if internal invariants are violated; used by tests.
@@ -188,6 +193,12 @@ func (s *Store) check() {
 		if j, ok := s.byID[m.ID]; !ok || j != i {
 			panic(fmt.Sprintf("buffer: index desync for %v: byID=%d, order=%d", m.ID, j, i))
 		}
+		if !s.present.Has(m.ID) {
+			panic(fmt.Sprintf("buffer: %v stored but missing from the membership set", m.ID))
+		}
+	}
+	if n := s.present.Len(); n != len(s.byID) {
+		panic(fmt.Sprintf("buffer: membership set holds %d ids, index %d", n, len(s.byID)))
 	}
 	if used != s.used {
 		panic(fmt.Sprintf("buffer: used accounting drifted: %d != %d", used, s.used))

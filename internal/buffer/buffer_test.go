@@ -167,19 +167,28 @@ func TestMessagesInsertionOrderSnapshot(t *testing.T) {
 	}
 }
 
+// expire runs s.Expire(now) and returns a copy of the batch its hook saw,
+// replacing any hook s had.
+func expire(s *Store, now float64) []*bundle.Message {
+	var got []*bundle.Message
+	s.SetExpireHook(func(_ float64, dead []*bundle.Message) { got = append(got, dead...) })
+	s.Expire(now)
+	return got
+}
+
 func TestExpire(t *testing.T) {
 	s := NewStore(units.MB(10))
 	s.Add(0, msg(1, units.MB(1), 0, 100), nil)  // expires at 100
 	s.Add(0, msg(2, units.MB(1), 0, 500), nil)  // expires at 500
 	s.Add(0, msg(3, units.MB(1), 50, 100), nil) // expires at 150
-	dead := s.Expire(200)
+	dead := expire(s, 200)
 	if len(dead) != 2 || dead[0].ID != 1 || dead[1].ID != 3 {
 		t.Fatalf("Expire(200) = %v, want [M1 M3]", dead)
 	}
 	if !s.Has(2) || s.Len() != 1 {
 		t.Fatal("survivor wrong")
 	}
-	if more := s.Expire(200); len(more) != 0 {
+	if more := expire(s, 200); len(more) != 0 {
 		t.Fatalf("second Expire removed %v", more)
 	}
 	s.check()
@@ -187,14 +196,10 @@ func TestExpire(t *testing.T) {
 
 // TestExpireNonAdjacent expires replicas scattered through the buffer —
 // first, middle and last, none adjacent — so the one-pass compaction must
-// re-index every survivor that moved. Both the returned batch and the
-// hook's batch keep insertion order.
+// re-index every survivor that moved. The hook's batch keeps insertion
+// order.
 func TestExpireNonAdjacent(t *testing.T) {
 	s := NewStore(units.MB(10))
-	var hooked []*bundle.Message
-	s.SetExpireHook(func(now float64, dead []*bundle.Message) {
-		hooked = append(hooked, dead...)
-	})
 	// Odd ids expire at 100, even ids live to 500.
 	for i := 1; i <= 7; i++ {
 		ttl := 500.0
@@ -203,14 +208,14 @@ func TestExpireNonAdjacent(t *testing.T) {
 		}
 		s.Add(0, msg(bundle.ID(i), units.KB(100), 0, ttl), nil)
 	}
-	dead := s.Expire(100)
+	dead := expire(s, 100)
 	want := []bundle.ID{1, 3, 5, 7}
-	if len(dead) != len(want) || len(hooked) != len(want) {
-		t.Fatalf("Expire = %v, hook saw %v, want ids %v", dead, hooked, want)
+	if len(dead) != len(want) {
+		t.Fatalf("hook saw %v, want ids %v", dead, want)
 	}
 	for i, id := range want {
-		if dead[i].ID != id || hooked[i].ID != id {
-			t.Fatalf("Expire = %v, hook saw %v, want ids %v", dead, hooked, want)
+		if dead[i].ID != id {
+			t.Fatalf("hook saw %v, want ids %v", dead, want)
 		}
 	}
 	s.check()
@@ -236,11 +241,61 @@ func TestExpireNonAdjacent(t *testing.T) {
 func TestExpireBoundaryInclusive(t *testing.T) {
 	s := NewStore(units.MB(1))
 	s.Add(0, msg(1, units.KB(500), 0, 100), nil)
-	if dead := s.Expire(99.999); len(dead) != 0 {
+	if dead := expire(s, 99.999); len(dead) != 0 {
 		t.Fatal("expired before deadline")
 	}
-	if dead := s.Expire(100); len(dead) != 1 {
+	if dead := expire(s, 100); len(dead) != 1 {
 		t.Fatal("not expired at deadline")
+	}
+}
+
+// TestExpireHookBatchIsScratch pins the hook contract: the batch is the
+// store's reused scratch, valid only during the call, and cleared after
+// it so the store keeps no dead replica alive.
+func TestExpireHookBatchIsScratch(t *testing.T) {
+	s := NewStore(units.MB(10))
+	var kept [][]*bundle.Message
+	s.SetExpireHook(func(_ float64, dead []*bundle.Message) { kept = append(kept, dead) })
+	s.Add(0, msg(1, units.KB(100), 0, 100), nil)
+	s.Add(0, msg(2, units.KB(100), 0, 100), nil)
+	s.Expire(100)
+	s.Add(100, msg(3, units.KB(100), 100, 100), nil)
+	s.Expire(200)
+	if len(kept) != 2 || len(kept[0]) != 2 || len(kept[1]) != 1 {
+		t.Fatalf("hook batches %v, want sizes 2 and 1", kept)
+	}
+	if &kept[0][0] != &kept[1][0] {
+		t.Fatal("second batch did not reuse the scratch")
+	}
+	if kept[0][1] != nil || kept[1][0] != nil {
+		t.Fatalf("scratch still holds %v after the hook returned", kept[0][:2])
+	}
+}
+
+// TestExpireAllocationFree checks that a steady add-and-expire cycle
+// allocates nothing: the dead batch is staged in the store's scratch.
+func TestExpireAllocationFree(t *testing.T) {
+	s := NewStore(units.MB(10))
+	expired := 0
+	s.SetExpireHook(func(_ float64, dead []*bundle.Message) { expired += len(dead) })
+	ms := []*bundle.Message{
+		msg(1, units.KB(100), 0, 100),
+		msg(2, units.KB(100), 0, 500),
+		msg(3, units.KB(100), 0, 100),
+	}
+	cycle := func() {
+		for _, m := range ms {
+			s.Add(0, m, nil)
+		}
+		s.Expire(100)
+		s.Remove(2)
+	}
+	cycle() // size the index, membership set and scratch
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("add-and-expire cycle: %v allocs, want 0", allocs)
+	}
+	if s.Len() != 0 || expired != 2*102 {
+		t.Fatalf("len %d, expired %d; want 0 and %d", s.Len(), expired, 2*102)
 	}
 }
 

@@ -49,6 +49,12 @@ const timeTolerance = 1e-9
 //
 // Paper parameters: speed uniform in [30, 50] km/h, pause uniform in
 // [5, 15] minutes, destinations uniform over map locations.
+//
+// Each trip's route and segment lengths are computed once, when the
+// vehicle departs, into buffers reused across trips, so a position query
+// walks cached lengths instead of recomputing every segment from the
+// start of the route. The walk repeats geo.Polyline.AtDistance step for
+// step, so positions are bit-identical to it.
 type MapWalk struct {
 	g   *roadmap.Graph
 	rng *xrand.Rand
@@ -63,7 +69,8 @@ type MapWalk struct {
 	at       int // current vertex while paused / destination while moving
 	pauseEnd float64
 
-	route    geo.Polyline
+	route    geo.Polyline // reused across trips, like segLen
+	segLen   []float64    // route[i].Dist(route[i+1])
 	routeLen float64
 	legStart float64
 	speed    float64
@@ -140,10 +147,33 @@ func (w *MapWalk) Position(now float64) geo.Point {
 		}
 		arrival := w.legStart + w.routeLen/w.speed
 		if now < arrival {
-			return w.route.AtDistance(w.speed * (now - w.legStart))
+			return w.routePoint(w.speed * (now - w.legStart))
 		}
 		w.arrive(arrival)
 	}
+}
+
+// routePoint is w.route.AtDistance(d) over the cached segment lengths: the
+// same sequential d -= seg, clamps and interpolation, hence the same bits.
+// It keeps no cursor between calls, because subtracting the lengths one by
+// one does not round like subtracting their sum.
+func (w *MapWalk) routePoint(d float64) geo.Point {
+	pl := w.route
+	if d <= 0 || len(pl) == 1 {
+		return pl[0]
+	}
+	for i, seg := range w.segLen {
+		if d <= seg {
+			// geo.Segment.AtDistance with the length known. d stays
+			// positive along the walk, so only its far-end clamp applies.
+			if d == seg {
+				return pl[i+1]
+			}
+			return pl[i].Lerp(pl[i+1], d/seg)
+		}
+		d -= seg
+	}
+	return pl[len(pl)-1]
 }
 
 // StaticUntil reports how long the vehicle is guaranteed to stand still:
@@ -172,7 +202,16 @@ func (w *MapWalk) depart(at float64) {
 	if !ok {
 		panic("mobility: unreachable destination on validated map")
 	}
-	w.route = w.g.PathPolyline(path)
+	if n := len(path); cap(w.route) < n {
+		// One allocation each, with room for longer trips to come.
+		w.route = make(geo.Polyline, 0, 2*n)
+		w.segLen = make([]float64, 0, 2*n)
+	}
+	w.route = w.g.PathPolyline(w.route[:0], path)
+	w.segLen = w.segLen[:0]
+	for i := 1; i < len(w.route); i++ {
+		w.segLen = append(w.segLen, w.route[i-1].Dist(w.route[i]))
+	}
 	w.routeLen = dist
 	w.speed = w.rng.UniformFloat(w.speedLo, w.speedHi)
 	w.legStart = at

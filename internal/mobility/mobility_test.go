@@ -381,3 +381,78 @@ func TestMapWalkParallelQueriesBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestMapWalkCachedLengthsBitIdentical checks MapWalk.Position, which
+// walks the trip's cached segment lengths, against
+// geo.Polyline.AtDistance on the same leg, bit for bit. Query times are
+// random and non-decreasing, with repeats, and are steered onto the
+// places rounding could differ: vertex boundaries along the route (and
+// the floats either side), arrivals and pause ends.
+func TestMapWalkCachedLengthsBitIdentical(t *testing.T) {
+	g := roadmap.HelsinkiLike()
+	same := func(a, b geo.Point) bool {
+		return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
+	}
+	for seed := uint64(1); seed <= 40; seed++ {
+		w := NewMapWalk(g, xrand.New(seed), paperCfg())
+		pick := xrand.New(1000 + seed)
+		now, moving, vertexHits := 0.0, 0, 0
+		for now < units.Hours(4) {
+			got := w.Position(now)
+			if w.paused {
+				if want := g.Vertex(w.at); !same(got, want) {
+					t.Fatalf("seed %d t=%v paused: %v, vertex %v", seed, now, got, want)
+				}
+			} else {
+				moving++
+				if want := w.route.AtDistance(w.speed * (now - w.legStart)); !same(got, want) {
+					t.Fatalf("seed %d t=%v: cached %v, AtDistance %v", seed, now, got, want)
+				}
+				// Probe the leg's distances directly: each vertex, the
+				// floats either side and both clamps.
+				probes := []float64{-1, 0, w.routeLen, 2 * w.routeLen}
+				cum := 0.0
+				for _, seg := range w.segLen {
+					probes = append(probes, seg, cum, math.Nextafter(cum, 0), math.Nextafter(cum, math.Inf(1)))
+					cum += seg
+				}
+				for _, d := range probes {
+					if got, want := w.routePoint(d), w.route.AtDistance(d); !same(got, want) {
+						t.Fatalf("seed %d d=%v: cached %v, AtDistance %v", seed, d, got, want)
+					}
+				}
+			}
+			// Next query time, never earlier than this one.
+			next := now + pick.Float64()*90
+			switch k := pick.IntN(8); {
+			case k == 0:
+				next = now // repeat the instant
+			case k == 1 && w.paused:
+				next = w.pauseEnd
+			case k == 2 && !w.paused:
+				next = w.legStart + w.routeLen/w.speed // arrival
+			case k >= 3 && k <= 5 && !w.paused:
+				// A vertex boundary of the route: where the walk crosses
+				// from one cached length to the next.
+				cum := 0.0
+				for _, seg := range w.segLen[:pick.IntN(len(w.segLen))+1] {
+					cum += seg
+				}
+				at := w.legStart + cum/w.speed
+				if k == 4 {
+					at = math.Nextafter(at, math.Inf(-1))
+				} else if k == 5 {
+					at = math.Nextafter(at, math.Inf(1))
+				}
+				if at >= now {
+					next = at
+					vertexHits++
+				}
+			}
+			now = next
+		}
+		if moving == 0 || vertexHits == 0 || w.Trips() == 0 {
+			t.Fatalf("seed %d: %d moving queries, %d vertex boundaries, %d trips", seed, moving, vertexHits, w.Trips())
+		}
+	}
+}

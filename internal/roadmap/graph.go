@@ -241,11 +241,11 @@ func (g *Graph) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// PathPolyline converts a vertex-id path into its planar geometry.
-func (g *Graph) PathPolyline(ids []int) geo.Polyline {
-	pl := make(geo.Polyline, len(ids))
-	for i, id := range ids {
-		pl[i] = g.pts[id]
+// PathPolyline appends the planar geometry of a vertex-id path to dst and
+// returns the extended polyline; pass nil for a fresh one.
+func (g *Graph) PathPolyline(dst geo.Polyline, ids []int) geo.Polyline {
+	for _, id := range ids {
+		dst = append(dst, g.pts[id])
 	}
-	return pl
+	return dst
 }

@@ -377,7 +377,7 @@ func TestPathPolyline(t *testing.T) {
 	if !ok {
 		t.Fatal("no path")
 	}
-	pl := g.PathPolyline(path)
+	pl := g.PathPolyline(nil, path)
 	if math.Abs(pl.Length()-dist) > 1e-9 {
 		t.Fatalf("polyline length %v != path dist %v", pl.Length(), dist)
 	}

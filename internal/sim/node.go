@@ -41,21 +41,21 @@ type Node struct {
 	buf    *buffer.Store
 	router routing.Router
 
-	// delivered records message ids this node received as destination,
-	// with the delivery time; the node refuses duplicates forever after.
-	delivered map[bundle.ID]float64
+	// delivered records message ids this node received as destination;
+	// the node refuses duplicates forever after. nDelivered counts them.
+	delivered  bundle.IDSet
+	nDelivered int
 }
 
 func newNode(id int, kind Kind, mob mobility.Model, buf *buffer.Store, r routing.Router) *Node {
 	hint, _ := mob.(staticUntiler)
 	n := &Node{
-		id:        id,
-		kind:      kind,
-		mob:       mob,
-		hint:      hint,
-		buf:       buf,
-		router:    r,
-		delivered: make(map[bundle.ID]float64),
+		id:     id,
+		kind:   kind,
+		mob:    mob,
+		hint:   hint,
+		buf:    buf,
+		router: r,
 	}
 	r.Attach(id, buf)
 	return n
@@ -89,15 +89,16 @@ func (n *Node) Buffer() *buffer.Store { return n.buf }
 
 // DeliveredCount returns how many distinct messages this node has received
 // as their destination.
-func (n *Node) DeliveredCount() int { return len(n.delivered) }
+func (n *Node) DeliveredCount() int { return n.nDelivered }
 
 // markDelivered records the first arrival of id; it reports whether this
 // was indeed the first.
-func (n *Node) markDelivered(id bundle.ID, now float64) bool {
-	if _, dup := n.delivered[id]; dup {
+func (n *Node) markDelivered(id bundle.ID) bool {
+	if n.delivered.Has(id) {
 		return false
 	}
-	n.delivered[id] = now
+	n.delivered.Add(id)
+	n.nDelivered++
 	return true
 }
 
@@ -113,10 +114,7 @@ func (p peerView) ID() int { return p.n.id }
 func (p peerView) Has(id bundle.ID) bool { return p.n.buf.Has(id) }
 
 // HasDelivered implements routing.Peer.
-func (p peerView) HasDelivered(id bundle.ID) bool {
-	_, ok := p.n.delivered[id]
-	return ok
-}
+func (p peerView) HasDelivered(id bundle.ID) bool { return p.n.delivered.Has(id) }
 
 // Router implements routing.Peer.
 func (p peerView) Router() routing.Router { return p.n.router }

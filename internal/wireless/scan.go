@@ -59,7 +59,7 @@ type pairEntry struct {
 // incrementally as entities move, and the pair/diff slices are truncated
 // and refilled in place.
 type scanState struct {
-	seen      []bool          // entity has been placed in the grid
+	seen      []bool          // entity has been observed (and, with a grid, placed in it)
 	pos       []geo.Point     // last observed position, by entity index
 	ids       []int           // entity id, by entity index
 	hint      []StaticUntiler // nil when the entity offers no hint
@@ -67,7 +67,8 @@ type scanState struct {
 	cell      []cellKey       // current grid cell of pos
 	isMover   []bool          // re-queried this tick (cleared at scan end)
 
-	grid gridState
+	grid     gridState
+	gridLive bool // grid built: the fleet has outgrown directPairsMax
 
 	movers     []int32       // entity indexes re-queried this tick
 	newCell    []cellKey     // phase-1 staging: observed grid cell, by entity index
@@ -84,9 +85,9 @@ type scanState struct {
 // regimes, by fleet size and spread:
 //
 //   - Direct: fleets of at most directPairsMax entities (the paper's 45
-//     nodes) skip the grid in findPairs and check every entity directly.
-//     The grid is still kept up to date, so a fleet that grows past the
-//     threshold mid-run switches paths with no rebuild.
+//     nodes) check every entity directly and keep no grid, only each
+//     entity's cell. On the first tick a fleet grows past the threshold,
+//     the grid is built once from those cells and kept from then on.
 //   - Sparse map: the default representation. A fleet whose occupied
 //     bounding box spans more than denseCellCap cells keeps its buckets
 //     in a hash map, one lookup per neighbourhood cell. The paper's
@@ -285,7 +286,6 @@ func comparePairEntries(a, b pairEntry) int {
 // the last tick (on the first tick, all of them).
 func (m *Medium) growScanState() {
 	sc := &m.sc
-	sc.grid.init(len(m.entities))
 	if sc.wpairs == nil {
 		// One pair shard per worker; the serial path uses shard 0 only.
 		sc.wpairs = make([][]pairEntry, max(1, m.cfg.ScanWorkers))
@@ -303,6 +303,20 @@ func (m *Medium) growScanState() {
 		sc.isMover = append(sc.isMover, false)
 		sc.newCell = append(sc.newCell, cellKey{})
 	}
+}
+
+// buildGrid places every observed entity in the grid at its current cell.
+// It runs once, on the first tick the fleet exceeds directPairsMax; the
+// direct regime before it tracks cells but keeps no buckets.
+func (m *Medium) buildGrid() {
+	sc := &m.sc
+	sc.grid.init(len(m.entities))
+	for i, seen := range sc.seen {
+		if seen {
+			sc.grid.add(int32(i), sc.cell[i])
+		}
+	}
+	sc.gridLive = true
 }
 
 // moveBucket relocates entity index i from grid cell `from` to `to`.
@@ -507,21 +521,28 @@ func (m *Medium) scan(now float64) {
 		m.evalPositions(now, sc.movers)
 	}
 
-	// Apply the observed cells to the grid, in entity order (bucket order
-	// is not semantic, but keeping surgery serial keeps the grid simple
-	// and race-free).
+	// Apply the observed cells, in entity order, to the grid if one is
+	// kept (bucket order is not semantic, but keeping surgery serial keeps
+	// the grid simple and race-free).
 	for _, i := range sc.movers {
 		ck := sc.newCell[i]
 		switch {
 		case !sc.seen[i]:
 			sc.seen[i] = true
 			sc.cell[i] = ck
-			sc.grid.add(i, ck)
+			if sc.gridLive {
+				sc.grid.add(i, ck)
+			}
 		case ck != sc.cell[i]:
-			m.moveBucket(i, sc.cell[i], ck)
+			if sc.gridLive {
+				m.moveBucket(i, sc.cell[i], ck)
+			}
 			sc.cell[i] = ck
 		}
 		sc.isMover[i] = true
+	}
+	if !sc.gridLive && len(sc.pos) > directPairsMax {
+		m.buildGrid()
 	}
 
 	// Densify the grid once the occupied bounding box is known to be

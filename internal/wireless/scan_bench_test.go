@@ -346,7 +346,12 @@ func TestScanPathCrossover(t *testing.T) {
 			m.scan(now)
 		}
 		// Replay the last tick's phase 2 on its (still current) movers.
+		// Fleets in the direct regime keep no grid: build it, so the
+		// grid path walks real buckets.
 		sc := &m.sc
+		if !sc.gridLive {
+			m.buildGrid()
+		}
 		for _, i := range sc.movers {
 			sc.isMover[i] = true
 		}

@@ -426,6 +426,67 @@ func TestAddAfterStartIsPickedUp(t *testing.T) {
 	}
 }
 
+// TestScanThresholdCrossingMidRun grows a fleet of exactly directPairsMax
+// entities past the threshold mid-run. The direct regime keeps no grid, so
+// the first tick past it must build the grid from every entity's current
+// cell, parked entities included. Every tick is checked against the
+// full-rescan reference and the adjacency invariant, serially and with a
+// worker pool, and both must fire the same transitions.
+func TestScanThresholdCrossingMidRun(t *testing.T) {
+	const grown = directPairsMax + 24
+	run := func(workers int) []string {
+		s := event.NewScheduler()
+		m := NewMedium(s, parallelCfg(workers))
+		rec := &seqRecorder{}
+		m.SetHandler(rec)
+		rng := xrand.New(5150)
+		buildRandomFleet(m, rng, directPairsMax)
+		m.Start(0)
+		ids := make([]int, 0, grown)
+		for i := 0; i < directPairsMax; i++ {
+			ids = append(ids, i)
+		}
+		for tick := 0; tick <= 40; tick++ {
+			now := float64(tick)
+			if tick == 12 {
+				// Joiners land in the same cloud: parked ones and movers.
+				for id := directPairsMax; id < grown; id++ {
+					home := geo.Point{X: rng.Float64()*400 - 200, Y: rng.Float64()*400 - 200}
+					if id%2 == 0 {
+						m.Add(&hinted{id: id, at: home, until: math.Inf(1)})
+					} else {
+						vx, vy := rng.Float64()*10-5, rng.Float64()*10-5
+						m.Add(&scripted{id: id, fn: func(now float64) geo.Point {
+							return geo.Point{X: home.X + vx*now, Y: home.Y + vy*now}
+						}})
+					}
+					ids = append(ids, id)
+				}
+			}
+			s.RunUntil(now + 0.5)
+			if live, want := m.sc.gridLive, tick >= 12; live != want {
+				t.Fatalf("workers=%d tick %d: grid kept = %v, want %v", workers, tick, live, want)
+			}
+			got, want := connectedPairs(m, ids), m.proximityPairsReference(now)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("workers=%d tick %d: connected %v, reference %v", workers, tick, got, want)
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatalf("workers=%d tick %d: %v", workers, tick, err)
+			}
+		}
+		m.Stop()
+		if len(rec.seq) == 0 {
+			t.Fatalf("workers=%d: no transitions fired", workers)
+		}
+		return rec.seq
+	}
+	serial := run(0)
+	if par := run(2); fmt.Sprint(par) != fmt.Sprint(serial) {
+		t.Fatalf("workers=2 transition sequence diverged from serial\nserial:   %v\nparallel: %v", serial, par)
+	}
+}
+
 // TestScanStopStartResumes: stopping the scan and starting a fresh pass
 // later must pick up position changes that happened in between, including
 // for entities whose hint expired while stopped.
